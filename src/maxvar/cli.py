@@ -147,6 +147,10 @@ def cmd_maxfn(args: argparse.Namespace) -> int:
     R = args.box
     if R < 0:
         raise CliError("--box must be >= 0", EXIT_USAGE)
+    cap = _enum_cap()
+    points = (2 * R + 1) ** f.dim
+    if points > cap:
+        raise CliError(f"box [-{R}, {R}]^{f.dim} holds {points} points, cap is {cap}", EXIT_CAP)
     box = ((-R,) * f.dim, (R,) * f.dim)
     values = maxop.evaluate_on_box(f, spec, box, threads=args.threads)
     try:
@@ -206,10 +210,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not f:
         raise CliError("input function is identically zero", EXIT_USAGE)
     spec = _spec_for(args.geometry, f.dim)
-    epsilon = parse_rational(args.epsilon)
-    record, report = verify.verify_inequality(
-        f, spec, epsilon, r_max=args.rmax, terms=args.terms
-    )
+    try:
+        epsilon = parse_rational(args.epsilon)
+        record, report = verify.verify_inequality(
+            f, spec, epsilon, r_max=args.rmax, terms=args.terms
+        )
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_USAGE)
     payload = {
         "geometry": spec.geometry,
         "dim": spec.dim,

@@ -173,9 +173,8 @@ def _count_poly(d: int) -> Poly:
             term = _pmul(term, (Fraction(-xj, xi - xj), Fraction(1, xi - xj)))
         poly = _padd(poly, term)
     for k in range(0, d + 41):
-        assert _peval(poly, k) == lattice.l1_ball_count(d, k), (
-            f"count interpolation failed at d={d}, k={k}"
-        )
+        if _peval(poly, k) != lattice.l1_ball_count(d, k):
+            raise AssertionError(f"count interpolation failed at d={d}, k={k}")
     return _ptrim(poly)
 
 
@@ -195,9 +194,10 @@ def _term_polynomials(d: int, kind: str) -> tuple[Poly, Poly]:
     num, den = _ptrim(num), _ptrim(den)
     term = centered_term if kind == "centered" else uncentered_term
     for k in range(1, 41):
-        assert _peval(num, k) / _peval(den, k) == term(d, k), (
-            f"term polynomial mismatch at d={d}, kind={kind}, k={k}"
-        )
+        if _peval(num, k) / _peval(den, k) != term(d, k):
+            raise AssertionError(
+                f"term polynomial mismatch at d={d}, kind={kind}, k={k}"
+            )
     return num, den
 
 
@@ -310,8 +310,12 @@ def constant_enclosure(d: int, K: int, kind: str) -> ConstantEnclosure:
     return ConstantEnclosure(d, kind, K, lower, upper, maj)
 
 
+@cache
 def bound_for_geometry(geometry: str, dim: int, terms: int = 1000) -> ConstantEnclosure:
-    """Enclosure of the sharp Var/||f||_1 ratio bound for an operator geometry."""
+    """Enclosure of the sharp Var/||f||_1 ratio bound for an operator geometry.
+
+    Cached: the enclosure is frozen, and every adaptive run needs it.
+    """
     if geometry == "centered1d":
         maj = TailMajorant(1, "centered", Fraction(0), 0, "exact sharp constant 2")
         two = ONE_DIM_CENTERED_SHARP

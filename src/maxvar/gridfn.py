@@ -7,6 +7,7 @@ to end; floats appear only in display code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -144,7 +145,10 @@ def lp_norm(f: GridFunction, p: float | Fraction) -> Fraction | float:
         root = _exact_root(total, power)
         if root is not None:
             return root
-        return float(total) ** (1.0 / power)
+        # logarithms of the exact integers: float(total) overflows past ~1e308
+        return math.exp(
+            (math.log(total.numerator) - math.log(total.denominator)) / power
+        )
     return float(tree_sum(abs(v) ** p_frac.numerator for _, v in f.items())) ** (
         1.0 / float(p_frac)
     )
@@ -161,11 +165,18 @@ def _exact_root(q: Fraction, n: int) -> Fraction | None:
 
 
 def _iroot(m: int, n: int) -> int | None:
-    r = round(m ** (1.0 / n))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**n == m:
-            return cand
-    return None
+    """The integer n-th root of m >= 1, or None if m is not an n-th power."""
+    if n == 2:
+        r = math.isqrt(m)
+    else:
+        # integer Newton steps from above descend to floor(m^(1/n))
+        r = 1 << -(-m.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + m // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+    return r if r**n == m else None
 
 
 def total_variation(f: GridFunction) -> Fraction:

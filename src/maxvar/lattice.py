@@ -299,7 +299,8 @@ def box_realization(lower: LatticePoint, upper: LatticePoint) -> tuple[tuple[Fra
         raise ValueError("box is not the trace of any cube: counts differ by > 1")
     radius = Fraction(2 * max(counts) - 1, 4)
     center = tuple(Fraction(l + u, 2) for l, u in zip(lower, upper))
-    assert box_lattice_trace(center, radius) == (tuple(lower), tuple(upper))
+    if box_lattice_trace(center, radius) != (tuple(lower), tuple(upper)):
+        raise AssertionError(f"cube {center}, {radius} does not trace [{lower}, {upper}]")
     return center, radius
 
 

@@ -9,18 +9,53 @@ bounded here), and reports say so.  For unit deltas the pointwise closed
 forms give two-sided control: `delta_variation_closed_form` evaluates the
 truncated variation exactly and converges to the sharp constants.
 
-The 2-D sweeps vectorise the pointwise maxima as integer (numerator,
-denominator) grids compared by cross-multiplication in int64 (exact; the
-magnitudes are bounded well below 2^63 for desk-scale boxes), then reduce
-the per-line variation to its monotone-run boundary terms, which are summed
-as exact rationals.  The generic pointwise path computes the same quantity
-for any dimension and is cross-checked against the grid path in the tests.
+Monotone-tail lemma.  Fix an axis i and a line {base + t e_i}, and let
+[lo, hi] be the projection of the support onto axis i.  Then
+t -> Mf(base + t e_i) is nondecreasing for t <= lo and nonincreasing for
+t >= hi, in every geometry.  Take a step away from the support, from t to
+t - 1 with t <= lo (the other side is symmetric):
+
+* l1 (centered1d is its d = 1 case): Mf is the best of mass(S_k) / N(d, k)
+  over the distances k from the query point to the support, S_k being the
+  support points within distance k.  Every support point lies on the far
+  side, so every distance grows by exactly 1 and their order is kept: each
+  candidate keeps its mass set and its count grows.
+* cube (uncentered1d is its d = 1 case): Mf is the best of mass(S) / q_S
+  over support subsets S, q_S being the least count of an admissible box
+  around the hull of S and the query point.  Exactly one hull extent, e_i,
+  grows by 1; the per-axis counts max(e_j, max(e) - 1) are nondecreasing in
+  every extent, so every q_S is nondecreasing.
+
+Either way no candidate increases, so neither does their maximum.  The edges
+of a line inside [-R, lo] therefore telescope to Mf(lo) - Mf(-R), those
+inside [hi, R] to Mf(hi) - Mf(R), and the line's exact truncated variation
+is that of its compressed sequence at t in {-R} + [lo..hi] + {R}.
+
+Each compressed sequence is reduced to its monotone-run boundaries:
+sum_t |v(t+1) - v(t)| = sum_t (s_{t-1} - s_t) v(t), with s_t the exact sign
+of v(t+1) - v(t), so only local extrema and line ends reach the exact
+rational sum.
+
+Two evaluators produce the compressed values, chosen from the input.  At
+d = 2, for l1 and cube supports of at most `_GRID_SUPPORT_LIMIT` points, a
+vectorised kernel computes every candidate as an integer (numerator,
+denominator) pair and compares them by cross-multiplication in int64, which
+is exact while `_grid_products_fit_int64` holds.  Every other input (d = 1,
+d >= 3, larger cube supports, products that could overflow) evaluates each
+distinct compressed point once through the exact rational kernels of
+`maxop`.  The lemma is a statement about the values of Mf, not about how they
+are computed, so the compression is exact for both evaluators.
+
+Cost: d (2R+1)^(d-1) lines of at most span + 2 points each, span being the
+support's extent along the line's axis, times the per-point candidate work;
+the (2R+1)^d box is never formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import numpy as np
@@ -34,19 +69,20 @@ from .maxop import BallSpec
 #: largest support size routed through the vectorised cube path (2^s layers)
 _GRID_SUPPORT_LIMIT = 8
 
+#: int64 cells per candidate layer that one vectorised chunk of lines may hold
+_CHUNK_CELLS = 4_000_000
+
 
 # ---------------------------------------------------------------------------
 # Truncated variation
 # ---------------------------------------------------------------------------
 
-def truncated_variation_maxfn(
-    f: GridFunction, spec: BallSpec, R: int, threads: int = 1
-) -> Fraction:
+def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fraction:
     """Exact variation of the maximal function over the box [-R, R]^d.
 
     Sums |difference| over all axis-parallel edges with both endpoints in
-    the box.  Requires R to cover the support so that the pruned operator
-    sweeps and the closed-form reasoning below apply.
+    the box.  Requires R to cover the support so that the monotone-tail
+    compression of the module docstring applies.
     """
     if spec.dim != f.dim:
         raise ValueError("spec dimension does not match function dimension")
@@ -56,15 +92,16 @@ def truncated_variation_maxfn(
         )
     if not f:
         return Fraction(0)
+    # per axis: the line ends plus the support's projection, where Mf may turn
+    stops = [sorted({-R, R, *range(lo, hi + 1)}) for lo, hi in zip(*f.support_box())]
     if (
         f.dim == 2
         and spec.geometry in ("l1", "cube")
         and len(f.support) <= _GRID_SUPPORT_LIMIT
         and _grid_products_fit_int64(f, R)
     ):
-        num, den, scale = _value_grids_2d(f, spec.geometry, R)
-        return _grid_variation(num, den, scale)
-    return _pointwise_variation(f, spec, R, threads)
+        return _sweep_2d(f, spec.geometry, R, stops)
+    return _sweep_exact(f, spec, R, stops)
 
 
 def _grid_products_fit_int64(f: GridFunction, R: int) -> bool:
@@ -72,7 +109,7 @@ def _grid_products_fit_int64(f: GridFunction, R: int) -> bool:
 
     The largest numerator is the scaled total mass, the largest denominator
     the largest ball/box count reachable inside the sweep; their product is
-    the biggest value formed.  Falls back to the pointwise path otherwise.
+    the biggest value formed.  Falls back to the exact evaluator otherwise.
     """
     masses, _ = _mass_scale(f)
     max_num = sum(masses)
@@ -84,25 +121,28 @@ def _grid_products_fit_int64(f: GridFunction, R: int) -> bool:
     return max_num * max_den < 2**62
 
 
-def _pointwise_variation(
-    f: GridFunction, spec: BallSpec, R: int, threads: int = 1
+def _sweep_exact(
+    f: GridFunction, spec: BallSpec, R: int, stops: list[list[int]]
 ) -> Fraction:
-    lower = (-R,) * f.dim
-    upper = (R,) * f.dim
-    values = maxop.evaluate_on_box(f, spec, (lower, upper), threads=threads)
-    terms = []
-    for point, v in values.items():
-        for i in range(f.dim):
-            if point[i] == R:
-                continue
-            nb = tuple(c + (1 if j == i else 0) for j, c in enumerate(point))
-            d = values[nb] - v
-            if d:
-                terms.append(abs(d))
+    """Line sweep over exact rational values, one `maxop` call per distinct
+    point; each line is reduced to its run-boundary terms."""
+    values: dict[LatticePoint, Fraction] = {}
+    terms: list[Fraction] = []
+    for axis, ts in enumerate(stops):
+        for rest in product(range(-R, R + 1), repeat=f.dim - 1):
+            line = []
+            for t in ts:
+                point = rest[:axis] + (t,) + rest[axis:]
+                v = values.get(point)
+                if v is None:
+                    v = values[point] = maxop.maximal_value(f, spec, point)
+                line.append(v)
+            signs = [0] + [(b > a) - (b < a) for a, b in zip(line, line[1:])] + [0]
+            terms += [(s - u) * v for s, u, v in zip(signs, signs[1:], line) if s != u]
     return tree_sum(terms)
 
 
-# -- vectorised 2-D value grids ---------------------------------------------
+# -- vectorised 2-D sweep ----------------------------------------------------
 
 def _mass_scale(f: GridFunction) -> tuple[list[int], int]:
     vals = [abs(v) for _, v in f.items()]
@@ -110,28 +150,72 @@ def _mass_scale(f: GridFunction) -> tuple[list[int], int]:
     return [int(v * scale) for v in vals], scale
 
 
-def _value_grids_2d(f: GridFunction, geometry: str, R: int):
+def _sweep_2d(f: GridFunction, geometry: str, R: int, stops: list[list[int]]) -> Fraction:
+    """Line sweep over int64 values, reduced exactly per denominator.
+
+    Lines run along axis 0 (then axis 1) and are evaluated in chunks of
+    rows, one row per line and one column per stop.
+    """
     points = list(f.support)
     masses, scale = _mass_scale(f)
-    n = 2 * R + 1
+    layers = len(points) if geometry == "l1" else (1 << len(points)) - 1
     coords = np.arange(-R, R + 1, dtype=np.int64)
-    num = np.empty((n, n), dtype=np.int64)
-    den = np.empty((n, n), dtype=np.int64)
+    acc: dict[int, int] = {}
+    for axis, ts in enumerate(stops):
+        t = np.array(ts, dtype=np.int64)[None, :]
+        rows = max(1, _CHUNK_CELLS // (len(ts) * layers))
+        for r0 in range(0, len(coords), rows):
+            c = coords[r0 : r0 + rows, None]
+            x, y = (t, c) if axis == 0 else (c, t)
+            num, den = _values_2d(points, masses, geometry, R, x, y)
+            _add_run_boundaries(num, den, acc)
+    terms = [
+        Fraction(total, dd * scale) for dd, total in sorted(acc.items()) if total
+    ]
+    return tree_sum(terms)
+
+
+def _add_run_boundaries(num, den, acc: dict[int, int]) -> None:
+    """Add each row's run-boundary terms coef_t * num_t to acc[den_t].
+
+    Row values are num / (scale * den).  The variation of a row is
+    sum_t coef_t * v(t) with coef_t = s_{t-1} - s_t and s_t the exact sign
+    of v(t+1) - v(t), compared by cross-multiplication; coefficients vanish
+    away from monotone-run boundaries.
+    """
+    if num.shape[1] < 2:
+        return
+    cross = num[:, 1:] * den[:, :-1] - num[:, :-1] * den[:, 1:]
+    sign = np.sign(cross)
+    coef = np.zeros(num.shape, dtype=np.int64)
+    coef[:, 1:] += sign
+    coef[:, :-1] -= sign
+    ys, xs = np.nonzero(coef)
+    for c, nn, dd in zip(
+        coef[ys, xs].tolist(), num[ys, xs].tolist(), den[ys, xs].tolist()
+    ):
+        acc[dd] = acc.get(dd, 0) + c * nn
+
+
+def _values_2d(
+    points: list[LatticePoint], masses: list[int], geometry: str, R: int, x, y
+):
+    """Mf at the points (x, y) as int64 arrays (num, den).
+
+    `masses` are the support's |values| times their common denominator
+    `scale`, and Mf = num / (scale * den).  x and y are int64 coordinate
+    arrays with entries in [-R, R] that broadcast to the result's shape.
+    """
+    shape = np.broadcast_shapes(x.shape, y.shape)
 
     if geometry == "l1":
         k_max = max(abs(p[0]) + abs(p[1]) for p in points) + 2 * R
-        table = lattice.ShellTable.build(2, k_max)
-        ntab = np.array(table.counts, dtype=np.int64)
-        mass_arr = np.array(masses, dtype=np.int64)
+        ntab = np.array(lattice.ShellTable.build(2, k_max).counts, dtype=np.int64)
         layers = len(points)
-        if layers <= 2:
-            x = coords[:, None]
-            y = coords[None, :]
-            d1 = np.abs(x - points[0][0]) + np.abs(y - points[0][1])
-            if layers == 1:
-                num.fill(masses[0])
-                den[:] = ntab[d1]
-                return num, den, scale
+        d1 = np.abs(x - points[0][0]) + np.abs(y - points[0][1])
+        if layers == 1:
+            return np.full(shape, masses[0], dtype=np.int64), ntab[d1]
+        if layers == 2:
             d2 = np.abs(x - points[1][0]) + np.abs(y - points[1][1])
             first_near = d1 <= d2
             near = np.where(first_near, d1, d2)
@@ -142,95 +226,44 @@ def _value_grids_2d(f: GridFunction, geometry: str, R: int):
             total = masses[0] + masses[1]
             # best of (m_near / N(near), total / N(far)), ties to either
             take_far = total * n_near > m_near * n_far
-            num[:] = np.where(take_far, total, m_near)
-            den[:] = np.where(take_far, n_far, n_near)
-            return num, den, scale
-        rows_per = max(1, 4_000_000 // (n * layers))
-        for r0 in range(0, n, rows_per):
-            x = coords[r0 : r0 + rows_per, None]
-            y = coords[None, :]
-            dist = np.stack(
-                [np.abs(x - p[0]) + np.abs(y - p[1]) for p in points]
-            )
-            order = np.argsort(dist, axis=0, kind="stable")
-            dsort = np.take_along_axis(dist, order, axis=0)
-            cum = np.cumsum(mass_arr[order], axis=0)
-            dens = ntab[dsort]
-            bn = cum[0].copy()
-            bd = dens[0].copy()
-            for i in range(1, layers):
-                better = cum[i] * bd > bn * dens[i]
-                np.copyto(bn, cum[i], where=better)
-                np.copyto(bd, dens[i], where=better)
-            num[r0 : r0 + rows_per] = bn
-            den[r0 : r0 + rows_per] = bd
-        return num, den, scale
+            num = np.where(take_far, total, m_near)
+            den = np.where(take_far, n_far, n_near)
+            return num, den
+        mass_arr = np.array(masses, dtype=np.int64)
+        dist = np.stack(
+            [np.broadcast_to(np.abs(x - p[0]) + np.abs(y - p[1]), shape) for p in points]
+        )
+        order = np.argsort(dist, axis=0, kind="stable")
+        dsort = np.take_along_axis(dist, order, axis=0)
+        cum = np.cumsum(mass_arr[order], axis=0)
+        dens = ntab[dsort]
+        bn = cum[0].copy()
+        bd = dens[0].copy()
+        for i in range(1, layers):
+            better = cum[i] * bd > bn * dens[i]
+            np.copyto(bn, cum[i], where=better)
+            np.copyto(bd, dens[i], where=better)
+        return bn, bd
 
     # cube: minimal admissible-box count per support subset
-    subsets = []
+    bn = bd = None
     for mask in range(1, 1 << len(points)):
         sel = [p for i, p in enumerate(points) if (mask >> i) & 1]
         mass = sum(m for i, m in enumerate(masses) if (mask >> i) & 1)
-        subsets.append(
-            (
-                min(p[0] for p in sel),
-                max(p[0] for p in sel),
-                min(p[1] for p in sel),
-                max(p[1] for p in sel),
-                mass,
-            )
-        )
-    rows_per = max(1, 4_000_000 // (n * max(1, len(subsets))))
-    for r0 in range(0, n, rows_per):
-        x = coords[r0 : r0 + rows_per, None]
-        y = coords[None, :]
-        bn = None
-        for mnx, mxx, mny, mxy, mass in subsets:
-            ex = np.maximum(mxx, x) - np.minimum(mnx, x) + 1
-            ey = np.maximum(mxy, y) - np.minimum(mny, y) + 1
-            side = np.maximum(ex, ey)
-            q = np.maximum(ex, side - 1) * np.maximum(ey, side - 1)
-            if bn is None:
-                bn = np.broadcast_to(np.int64(mass), q.shape).copy()
-                bd = q
-            else:
-                better = mass * bd > bn * q
-                np.copyto(bn, np.int64(mass), where=better)
-                bd = np.where(better, q, bd)
-        num[r0 : r0 + rows_per] = bn
-        den[r0 : r0 + rows_per] = bd
-    return num, den, scale
-
-
-def _grid_variation(num, den, scale: int) -> Fraction:
-    """Exact edge-difference sum of the rational grid num / (scale * den).
-
-    Along each line, sum_t |v(t+1) - v(t)| = sum_t coef_t * v(t) where
-    coef_t = s_{t-1} - s_t and s_t is the exact sign of v(t+1) - v(t); the
-    nonzero coefficients sit only at monotone-run boundaries, so the exact
-    rational work is proportional to the number of local extrema, not the
-    number of edges.
-    """
-    acc: dict[int, int] = {}
-    for transpose in (False, True):
-        a_num = num.T if transpose else num
-        a_den = den.T if transpose else den
-        if a_num.shape[1] < 2:
-            continue
-        cross = a_num[:, 1:] * a_den[:, :-1] - a_num[:, :-1] * a_den[:, 1:]
-        sign = np.sign(cross)
-        coef = np.zeros(a_num.shape, dtype=np.int64)
-        coef[:, 1:] += sign
-        coef[:, :-1] -= sign
-        ys, xs = np.nonzero(coef)
-        for c, nn, dd in zip(
-            coef[ys, xs].tolist(), a_num[ys, xs].tolist(), a_den[ys, xs].tolist()
-        ):
-            acc[dd] = acc.get(dd, 0) + c * nn
-    terms = [
-        Fraction(total, dd * scale) for dd, total in sorted(acc.items()) if total
-    ]
-    return tree_sum(terms)
+        mnx, mxx = min(p[0] for p in sel), max(p[0] for p in sel)
+        mny, mxy = min(p[1] for p in sel), max(p[1] for p in sel)
+        ex = np.maximum(mxx, x) - np.minimum(mnx, x) + 1
+        ey = np.maximum(mxy, y) - np.minimum(mny, y) + 1
+        side = np.maximum(ex, ey)
+        q = np.maximum(ex, side - 1) * np.maximum(ey, side - 1)
+        if bn is None:
+            bn = np.full(q.shape, mass, dtype=np.int64)
+            bd = q
+        else:
+            better = mass * bd > bn * q
+            np.copyto(bn, np.int64(mass), where=better)
+            bd = np.where(better, q, bd)
+    return bn, bd
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +300,6 @@ def adaptive_variation(
     epsilon: Fraction | int | str,
     r_max: int = 4096,
     terms: int = 1000,
-    threads: int = 1,
 ) -> VariationReport:
     """Double the truncation radius until the variation gain drops below epsilon.
 
@@ -286,7 +318,7 @@ def adaptive_variation(
     prev: Fraction | None = None
     var = Fraction(0)
     while True:
-        var = truncated_variation_maxfn(f, spec, r, threads=threads)
+        var = truncated_variation_maxfn(f, spec, r)
         trace.append((r, var))
         if prev is not None and var - prev < epsilon:
             stop = "converged"
@@ -382,8 +414,6 @@ def _cross_section(d: int, R: int):
         for c in range(-R, R + 1):
             yield (c,)
         return
-    from itertools import product
-
     yield from product(range(-R, R + 1), repeat=d - 1)
 
 
@@ -407,8 +437,6 @@ def delta_line_cap_totals(
     elif geometry == "l1":
         bases = lattice.l1_ball_points(d - 1, k_max)
     else:
-        from itertools import product
-
         bases = list(product(range(-k_max, k_max + 1), repeat=d - 1))
     cap_fn = line_contribution_cap_l1 if geometry == "l1" else line_contribution_cap_cube
     for base in bases:

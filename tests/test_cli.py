@@ -93,6 +93,17 @@ class TestMaxfn:
         r = run_cli("maxfn", "--input", doc, "--geometry", "centered1d", "--box", "1", "--output", str(tmp_path / "o.csv"))
         assert r.returncode == 4
 
+    def test_box_over_enum_cap_exit_3(self, tmp_path):
+        doc = write_doc(tmp_path, "f.json", 2, [{"point": [0, 0], "value": "1"}])
+        out = tmp_path / "o.csv"
+        r = run_cli(
+            "maxfn", "--input", doc, "--geometry", "l1", "--box", "50", "--output", str(out),
+            env_extra={"MAXVAR_ENUM_CAP": "10000"},
+        )
+        assert r.returncode == 3
+        assert "cap" in r.stderr and "Traceback" not in r.stderr
+        assert not out.exists()
+
     def test_duplicate_point_rejected(self, tmp_path):
         doc = write_doc(
             tmp_path, "dup.json", 1,
@@ -152,6 +163,15 @@ class TestVerify:
         assert payload["bound_upper"] == "2"
         assert payload["cap_satisfied"] is True
         assert "PASS" in r.stderr
+
+    def test_rmax_below_support_radius_exit_2(self, tmp_path):
+        doc = write_doc(
+            tmp_path, "f.json", 1,
+            [{"point": [0], "value": "1"}, {"point": [100], "value": "1"}],
+        )
+        r = run_cli("verify", "--input", doc, "--geometry", "centered1d", "--rmax", "4")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
 
     def test_missing_flags_exit_2(self):
         assert run_cli("verify").returncode == 2

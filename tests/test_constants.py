@@ -140,3 +140,53 @@ class TestGeometryBounds:
         enc = bound_for_geometry("l1", 2, terms=2000)
         assert enc.width < Q(1, 400)
         assert Q(15, 2) < enc.lower < enc.upper < Q(76, 10)
+
+
+_OPTIMIZED_CERTIFICATES = """
+import sys
+from fractions import Fraction
+from maxvar import constants, lattice
+
+if __debug__:
+    sys.exit("expected python -O")
+
+
+def raises(fn, *args):
+    try:
+        fn(*args)
+    except AssertionError:
+        return True
+    return False
+
+
+enc = constants.constant_enclosure(3, 100, "centered")
+print(enc.lower < enc.upper)
+print(lattice.box_realization((0, 0), (2, 1)) == ((1, Fraction(1, 2)), Fraction(5, 4)))
+
+# corrupt each certificate's input: the check must still fire
+trace = lattice.box_lattice_trace
+lattice.box_lattice_trace = lambda center, radius: ((0, 0), (0, 0))
+print(raises(lattice.box_realization, (0, 0), (2, 1)))
+lattice.box_lattice_trace = trace
+
+count = lattice.l1_ball_count
+lattice.l1_ball_count = lambda d, k: count(d, k) + (k > d)
+print(raises(constants._count_poly.__wrapped__, 4))
+lattice.l1_ball_count = count
+
+term = constants.centered_term
+constants.centered_term = lambda d, k: term(d, k) + (k == 40)
+print(raises(constants._term_polynomials, 4, "centered"))
+"""
+
+
+def test_certificate_checks_survive_python_O():
+    import subprocess
+    import sys
+
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CERTIFICATES],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["True"] * 5

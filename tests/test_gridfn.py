@@ -65,6 +65,14 @@ class TestLpNorm:
         v = lp_norm(GridFunction(1, {(0,): 1, (1,): 1}), 2)
         assert isinstance(v, float) and abs(v - 2**0.5) < 1e-12
 
+    def test_huge_values_use_integer_roots(self):
+        big = 10**200
+        assert lp_norm(GridFunction(1, {(0,): 3 * big, (1,): 4 * big}), 2) == 5 * big
+        cubes = GridFunction(1, {(0,): 3 * big, (1,): 4 * big, (2,): 5 * big})
+        assert lp_norm(cubes, 3) == 6 * big
+        v = lp_norm(GridFunction(1, {(0,): big, (1,): big}), 2)
+        assert isinstance(v, float) and abs(v / 1e200 - 2**0.5) < 1e-12
+
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
             lp_norm(GridFunction.delta(0), Q(1, 2))

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxvar import constants, varanalysis
 from maxvar.gridfn import GridFunction, line_restriction
 from maxvar.lattice import l1_shell_count
 from maxvar.maxop import BallSpec, evaluate_on_box
+from maxvar.oracle import brute_variation
 from maxvar.varanalysis import (
     LatticeLine,
     adaptive_variation,
@@ -18,6 +21,11 @@ from maxvar.varanalysis import (
 )
 
 Q = Fraction
+
+
+def _box_reference(f, spec, R):
+    box = ((-R,) * f.dim, (R,) * f.dim)
+    return brute_variation(evaluate_on_box(f, spec, box), box)
 
 
 def _random_f(d, rng, radius=4, signed=False):
@@ -66,12 +74,12 @@ class TestTruncatedVariation:
             for geom in ("l1", "cube"):
                 spec = BallSpec(geom, 2)
                 assert truncated_variation_maxfn(f, spec, R) == (
-                    varanalysis._pointwise_variation(f, spec, R)
+                    _box_reference(f, spec, R)
                 ), (geom, f.support)
 
     def test_overflow_guard_routes_to_pointwise(self):
         # three coprime ~1e9 denominators scale the masses past int64 range;
-        # the guard must reject the grid path and the result stay exact
+        # the guard must reject the int64 kernel and the result stay exact
         vals = {
             (0, 0): Q(1, 10**9 + 7),
             (1, 1): Q(1, 10**9 + 9),
@@ -80,16 +88,18 @@ class TestTruncatedVariation:
         f = GridFunction(2, vals)
         assert not varanalysis._grid_products_fit_int64(f, 5)
         spec = BallSpec("l1", 2)
-        assert truncated_variation_maxfn(f, spec, 4) == (
-            varanalysis._pointwise_variation(f, spec, 4)
-        )
+        assert truncated_variation_maxfn(f, spec, 4) == _box_reference(f, spec, 4)
         assert varanalysis._grid_products_fit_int64(
             GridFunction(2, {(0, 0): Q(1, 2)}), 1000
         )
+        for geom in ("l1", "cube"):
+            spec = BallSpec(geom, 2)
+            for R in range(f.support_radius(), f.support_radius() + 10):
+                assert truncated_variation_maxfn(f, spec, R) == (
+                    _box_reference(f, spec, R)
+                ), (geom, R)
 
     def test_matches_brute_edge_sum(self):
-        from maxvar.oracle import brute_variation
-
         rng = random.Random(33)
         f = _random_f(2, rng)
         R = f.support_radius() + 2
@@ -98,6 +108,58 @@ class TestTruncatedVariation:
         assert truncated_variation_maxfn(f, spec, R) == brute_variation(
             values, ((-R, -R), (R, R))
         )
+
+
+# deterministic examples, so that CI runs the same inputs every time
+SWEEP = settings(derandomize=True, database=None, deadline=None)
+
+_values = st.tuples(st.integers(1, 9), st.integers(1, 9), st.booleans()).map(
+    lambda t: Q(t[0], t[1]) * (-1 if t[2] else 1)
+)
+
+
+def _functions(d, radius, min_size, max_size):
+    points = st.tuples(*[st.integers(-radius, radius)] * d)
+    return st.dictionaries(points, _values, min_size=min_size, max_size=max_size).map(
+        lambda vals: GridFunction(d, vals)
+    )
+
+
+class TestSweepMatchesReference:
+    """The monotone-tail sweep against the literal edge sum over the box,
+    on signed inputs, at truncation radii from the support radius up to
+    nine beyond it."""
+
+    @pytest.mark.parametrize(
+        "geometry, d, radius, max_size, examples",
+        [
+            ("centered1d", 1, 6, 6, 40),
+            ("uncentered1d", 1, 6, 6, 40),
+            ("l1", 1, 6, 6, 25),
+            ("cube", 1, 6, 6, 25),
+            ("l1", 2, 3, 6, 25),
+            ("cube", 2, 3, 6, 25),
+            ("l1", 3, 1, 4, 10),
+            ("cube", 3, 1, 4, 10),
+        ],
+    )
+    def test_random_signed_inputs(self, geometry, d, radius, max_size, examples):
+        @settings(SWEEP, max_examples=examples)
+        @given(_functions(d, radius, 1, max_size), st.integers(0, 9))
+        def check(f, extra):
+            spec = BallSpec(geometry, d)
+            R = f.support_radius() + extra
+            assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
+
+        check()
+
+    @settings(SWEEP, max_examples=2)
+    @given(_functions(2, 2, 9, 10), st.integers(0, 9))
+    def test_large_cube_supports_take_exact_evaluator(self, f, extra):
+        assert len(f.support) > varanalysis._GRID_SUPPORT_LIMIT
+        spec = BallSpec("cube", 2)
+        R = f.support_radius() + extra
+        assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
 
 
 class TestAdaptiveVariation:
