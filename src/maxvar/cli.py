@@ -41,8 +41,6 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_MISMATCH = 4
 
-GEOMETRY_CHOICES = ("centered1d", "uncentered1d", "l1", "cube")
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -152,7 +150,7 @@ def cmd_maxfn(args: argparse.Namespace) -> int:
     if points > cap:
         raise CliError(f"box [-{R}, {R}]^{f.dim} holds {points} points, cap is {cap}", EXIT_CAP)
     box = ((-R,) * f.dim, (R,) * f.dim)
-    values = maxop.evaluate_on_box(f, spec, box, threads=args.threads)
+    values = maxop.evaluate_on_box(f, spec, box)
     try:
         out = open(args.output, "w", encoding="utf-8", newline="")
     except OSError as exc:
@@ -311,8 +309,7 @@ def _oracle_suite(checks: list, seed: int, instances: int) -> None:
     agree = 0
     total = 0
     failures = []
-    geometries = ("centered1d", "uncentered1d", "l1", "cube")
-    for geometry in geometries:
+    for geometry in maxop.GEOMETRIES:
         for i in range(instances):
             d = 1 if geometry.endswith("1d") else rng.choice((1, 2))
             if geometry == "l1" and d == 1:
@@ -338,22 +335,15 @@ def _oracle_suite(checks: list, seed: int, instances: int) -> None:
 
 
 def _fast_slow(f: GridFunction, geometry: str, n: tuple[int, ...]):
+    """The kernel's witness at n and the brute-force one for the same geometry."""
+    fast = maxop.maximal_witness(f, BallSpec(geometry, f.dim), n)
+    reach = max((sum(abs(a - b) for a, b in zip(p, n)) for p in f.support), default=0) + 2
     if geometry == "centered1d":
-        reach = max((abs(p[0] - n[0]) for p in f.support), default=0) + 2
-        return maxop.centered_max_1d(f, n[0]), oracle.brute_centered_1d(f, n[0], reach)
+        return fast, oracle.brute_centered_1d(f, n[0], reach)
     if geometry == "uncentered1d":
-        reach = max((abs(p[0] - n[0]) for p in f.support), default=0) + 2
-        return maxop.uncentered_max_1d(f, n[0]), oracle.brute_uncentered_1d(
-            f, n[0], reach
-        )
+        return fast, oracle.brute_uncentered_1d(f, n[0], reach)
     if geometry == "l1":
-        reach = (
-            max(
-                (sum(abs(a - b) for a, b in zip(p, n)) for p in f.support), default=0
-            )
-            + 2
-        )
-        return maxop.centered_max_l1(f, n), oracle.brute_centered_l1(f, n, reach)
+        return fast, oracle.brute_centered_l1(f, n, reach)
     bbox = f.support_box()
     span = 2
     if bbox is not None:
@@ -363,7 +353,7 @@ def _fast_slow(f: GridFunction, geometry: str, n: tuple[int, ...]):
             )
             + 1
         )
-    return maxop.uncentered_max_cube(f, n), oracle.brute_uncentered_cube(f, n, span)
+    return fast, oracle.brute_uncentered_cube(f, n, span)
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maxfn", help="evaluate a maximal function on a box")
     p.add_argument("--input", required=True)
-    p.add_argument("--geometry", choices=GEOMETRY_CHOICES, required=True)
+    p.add_argument("--geometry", choices=maxop.GEOMETRIES, required=True)
     p.add_argument("--box", type=int, required=True, help="box radius R")
     p.add_argument("--output", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     p.set_defaults(func=cmd_maxfn)
 
     p = sub.add_parser("constant", help="certified constant enclosure")
@@ -445,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="inequality checks / canned suites")
     p.add_argument("--input")
-    p.add_argument("--geometry", choices=GEOMETRY_CHOICES)
+    p.add_argument("--geometry", choices=maxop.GEOMETRIES)
     p.add_argument("--epsilon", default="1/1000")
     p.add_argument("--rmax", type=int, default=4096)
     p.add_argument("--terms", type=int, default=1000)
@@ -455,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="extremizer family sweep")
-    p.add_argument("--geometry", choices=GEOMETRY_CHOICES, required=True)
+    p.add_argument("--geometry", choices=maxop.GEOMETRIES, required=True)
     p.add_argument("--family", default="two-point")
     p.add_argument("--radius", type=int, required=True, help="family max distance")
     p.add_argument("--box", type=int, required=True, help="truncation radius")

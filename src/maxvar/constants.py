@@ -41,6 +41,7 @@ from functools import cache
 
 from . import lattice
 from .exact import tree_sum
+from .maxop import BallSpec
 
 KINDS = ("centered", "uncentered")
 
@@ -310,20 +311,21 @@ def constant_enclosure(d: int, K: int, kind: str) -> ConstantEnclosure:
     return ConstantEnclosure(d, kind, K, lower, upper, maj)
 
 
-@cache
 def bound_for_geometry(geometry: str, dim: int, terms: int = 1000) -> ConstantEnclosure:
     """Enclosure of the sharp Var/||f||_1 ratio bound for an operator geometry.
 
-    Cached: the enclosure is frozen, and every adaptive run needs it.
+    The bound depends only on whether the geometry is centered and on dim,
+    so the 1-D names share theirs with l1 and cube at d = 1.
     """
-    if geometry == "centered1d":
+    kind = "centered" if BallSpec(geometry, dim).centered else "uncentered"
+    return _sharp_bound(kind, dim, terms)
+
+
+@cache
+def _sharp_bound(kind: str, dim: int, terms: int) -> ConstantEnclosure:
+    """Cached: the enclosure is frozen, and every adaptive run needs it."""
+    if kind == "centered" and dim == 1:
         maj = TailMajorant(1, "centered", Fraction(0), 0, "exact sharp constant 2")
         two = ONE_DIM_CENTERED_SHARP
         return ConstantEnclosure(1, "centered", 0, two, two, maj)
-    if geometry == "uncentered1d":
-        return constant_enclosure(1, 0, "uncentered")
-    if geometry == "l1":
-        return constant_enclosure(dim, terms, "centered")
-    if geometry == "cube":
-        return constant_enclosure(dim, terms, "uncentered")
-    raise ValueError(f"unknown geometry {geometry!r}")
+    return constant_enclosure(dim, terms, kind)

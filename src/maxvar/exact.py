@@ -54,6 +54,22 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical 'p/q' (or plain integer) form with q > 0 and gcd(p,q)=1."""
-    return str(q)
+    """Canonical 'p/q' (or plain integer) form with q > 0 and gcd(p,q)=1.
+
+    Prints every digit, however many: `str` of an int refuses more than
+    the interpreter's conversion limit (4300 digits by default).
+    """
+    sign = "-" if q < 0 else ""
+    num = _digits(abs(q.numerator))
+    return sign + num if q.denominator == 1 else f"{sign}{num}/{_digits(q.denominator)}"
+
+
+def _digits(n: int) -> str:
+    """Decimal digits of n >= 0, split in halves while `str` refuses them."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half the digit count
+        hi, lo = divmod(n, 10**k)
+        return _digits(hi) + _digits(lo).zfill(k)
 

@@ -118,6 +118,16 @@ class GridFunction:
         hi = tuple(max(p[i] for p in self._support) for i in range(self._dim))
         return lo, hi
 
+    def integer_masses(self) -> tuple[list[int], int]:
+        """|f| on the support, in support order, as integers over `scale`.
+
+        `scale` is the least common denominator, so |f(p_i)| = masses[i] / scale
+        exactly and averages compare by integer cross-multiplication.
+        """
+        values = [self._values[p] for p in self._support]
+        scale = math.lcm(*(v.denominator for v in values))
+        return [abs(v.numerator) * (scale // v.denominator) for v in values], scale
+
     def support_radius(self) -> int:
         """Smallest R with support contained in the centered box [-R, R]^d."""
         if not self._support:
@@ -130,14 +140,15 @@ def lp_norm(f: GridFunction, p: float | Fraction) -> Fraction | float:
 
     Exact rational for p = 1, p = inf, and for integer p whenever the p-th
     root of sum |f|^p happens to be rational (e.g. 3-4-5 style supports);
-    otherwise a rounded float of the exact power sum.
+    otherwise a rounded float, computed from logarithms of the exact
+    integers so that huge values do not overflow.
     """
     if p == float("inf"):
         return max((abs(v) for _, v in f.items()), default=Fraction(0))
     p_frac = Fraction(p)
     if p_frac < 1:
         raise ValueError("lp_norm requires p >= 1")
-    if p_frac == 1:
+    if p_frac == 1 or not f:
         return f.l1_norm()
     if p_frac.denominator == 1:
         power = int(p_frac)
@@ -146,17 +157,19 @@ def lp_norm(f: GridFunction, p: float | Fraction) -> Fraction | float:
         if root is not None:
             return root
         # logarithms of the exact integers: float(total) overflows past ~1e308
-        return math.exp(
-            (math.log(total.numerator) - math.log(total.denominator)) / power
-        )
-    return float(tree_sum(abs(v) ** p_frac.numerator for _, v in f.items())) ** (
-        1.0 / float(p_frac)
-    )
+        return math.exp(_log(total) / power)
+    # log(sum |v|^p) = top + log(sum exp(p log|v| - top)), top the largest term
+    logs = [float(p_frac) * _log(abs(v)) for _, v in f.items()]
+    top = max(logs)
+    return math.exp((top + math.log(sum(math.exp(x - top) for x in logs))) / float(p_frac))
+
+
+def _log(q: Fraction) -> float:
+    """Natural logarithm of a positive rational of any size."""
+    return math.log(q.numerator) - math.log(q.denominator)
 
 
 def _exact_root(q: Fraction, n: int) -> Fraction | None:
-    if q == 0:
-        return Fraction(0)
     num = _iroot(q.numerator, n)
     den = _iroot(q.denominator, n)
     if num is not None and den is not None:

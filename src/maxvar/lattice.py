@@ -24,7 +24,6 @@ realizability.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -45,30 +44,27 @@ class EnumerationCapExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 
 # _counts[d] = [N(d,0), N(d,1), ...]; _cums[d] = prefix sums of _counts[d].
-# Rows grow on demand under a lock; once written, entries are never mutated,
-# so concurrent readers of already-built prefixes are safe.
+# Rows grow on demand; once written, entries are never mutated.
 _counts: dict[int, list[int]] = {0: [1]}
 _cums: dict[int, list[int]] = {0: [1]}
-_grow_lock = threading.Lock()
 
 
 def _ensure(d: int, k: int) -> None:
-    with _grow_lock:
-        for dim in range(0, d + 1):
-            row = _counts.setdefault(dim, [1])
-            cum = _cums.setdefault(dim, [1])
-            if dim == 0:
-                while len(row) <= k:
-                    row.append(1)
-                    cum.append(cum[-1] + 1)
-                continue
-            prev = _counts[dim - 1]
-            prev_cum = _cums[dim - 1]
+    for dim in range(0, d + 1):
+        row = _counts.setdefault(dim, [1])
+        cum = _cums.setdefault(dim, [1])
+        if dim == 0:
             while len(row) <= k:
-                j = len(row)
-                # N(dim, j) = N(dim-1, j) + 2 * sum_{i<j} N(dim-1, i)
-                row.append(prev[j] + 2 * prev_cum[j - 1])
-                cum.append(cum[-1] + row[-1])
+                row.append(1)
+                cum.append(cum[-1] + 1)
+            continue
+        prev = _counts[dim - 1]
+        prev_cum = _cums[dim - 1]
+        while len(row) <= k:
+            j = len(row)
+            # N(dim, j) = N(dim-1, j) + 2 * sum_{i<j} N(dim-1, i)
+            row.append(prev[j] + 2 * prev_cum[j - 1])
+            cum.append(cum[-1] + row[-1])
 
 
 def l1_ball_count(d: int, k: int) -> int:
@@ -95,8 +91,7 @@ def l1_shell_count(d: int, k: int) -> int:
 class ShellTable:
     """Immutable table of cross-polytope counts N(d, 0..k_max).
 
-    Construction is single-writer (it may grow the shared memo); the frozen
-    table itself is safe to share across threads.
+    Construction may grow the shared memo; the frozen table is a snapshot.
     """
 
     dim: int

@@ -1,37 +1,53 @@
 """Discrete maximal operators with pruned exact-supremum search.
 
-Four geometries are provided:
+Two kernels serve four geometries:
 
-  centered1d    -- averages over symmetric integer intervals [n-r, n+r]
-  uncentered1d  -- averages over arbitrary intervals [n-r, n+s] containing n
-  l1            -- averages over dilated cross-polytopes |m|_1 <= r around n
-  cube          -- averages over admissible lattice boxes containing n
-                   (per-axis point counts differing by at most one, i.e.
-                   the lattice traces of real cubes)
+  l1            -- centered: averages over dilated cross-polytopes
+                   |m - n|_1 <= r (`centered_max_l1`)
+  cube          -- uncentered: averages over admissible lattice boxes
+                   containing n, i.e. boxes whose per-axis point counts
+                   differ by at most one, the lattice traces of real cubes
+                   (`uncentered_max_cube`)
+  centered1d    -- l1 at d = 1: symmetric intervals [n-r, n+r]
+  uncentered1d  -- cube at d = 1: intervals [a, b] containing n
+
+The 1-D names are aliases for d = 1: N(1, r) = 2r + 1 and every interval is
+admissible, so the kernels, candidates and tie-breaks are the same.
+`centered_max_1d` and `uncentered_max_1d` are the d = 1 kernels called with
+an integer point.
 
 All suprema of finitely supported inputs are attained, and the search spaces
 below are pruned to provably sufficient finite sets:
 
 * centered sweeps stop at r* = max distance from n to the support, beyond
   which the average is ||f||_1 / N(r), strictly decreasing;
-* uncentered interval endpoints stay inside the hull of {n} and the support,
-  since any extension adds length but no mass;
 * candidate cube boxes are the minimal-count admissible boxes around the
   hull of {n} and a support subset.  For any box B the average is at most
   mass(B) / Q where Q is that minimal count for B's own captured subset, so
   the subset candidates dominate every box, and each candidate is realised
   by an actual box.  The literal box enumeration lives in `oracle` as the
   independent cross-check.
+* at d = 1 the minimal box is the hull itself, and a subset has the same
+  hull as the run of consecutive support points between its least and
+  largest point, which carries at least its mass.  So the O(s^2) runs of
+  the sorted support replace the 2^s - 1 subsets, and the `SUBSET_LIMIT`
+  fallback to literal box enumeration is only taken for d >= 2.
 
-Ties are broken deterministically: smallest radius for centered operators;
-smallest point count, then lexicographic lower corner, then lexicographic
-upper corner for uncentered ones.
+Averages are compared by integer cross-multiplication of the masses over
+their common denominator (`GridFunction.integer_masses`), and the winning
+value is formed once as an exact Fraction.  Ties are broken
+deterministically: smallest radius for centered operators; smallest point
+count, then lexicographic lower corner, then lexicographic upper corner for
+uncentered ones.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, product
+from math import prod
 from typing import Iterator
 
 from . import lattice
@@ -41,8 +57,8 @@ from .lattice import Box, LatticePoint
 
 GEOMETRIES = ("centered1d", "uncentered1d", "l1", "cube")
 
-#: supports larger than this fall back from subset candidates to literal
-#: box enumeration in the cube operator
+#: at d >= 2, supports larger than this fall back from subset candidates to
+#: literal box enumeration in the cube operator
 SUBSET_LIMIT = 12
 
 
@@ -141,118 +157,112 @@ def average(f: GridFunction, region: Region) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Centered operators
+# Centered kernel
 # ---------------------------------------------------------------------------
 
-def _centered_witness(
-    f: GridFunction, n: LatticePoint, dist, count_of
-) -> tuple[Fraction, int]:
-    """Shared sweep: max over candidate radii = distances from n to support.
-
-    Between consecutive support distances the mass is constant and the count
-    strictly increases, so those radii are dominated; beyond the largest
-    distance the average is ||f||_1 / count, strictly decreasing.  Scanning
-    candidates in increasing order with strict improvement yields the
-    smallest maximising radius.
-    """
-    by_dist: dict[int, Fraction] = {}
-    for p, v in f.items():
-        k = dist(p, n)
-        by_dist[k] = by_dist.get(k, Fraction(0)) + abs(v)
-    best_val = Fraction(0)
-    best_r = 0
-    mass = Fraction(0)
-    for k in sorted(by_dist):
-        mass += by_dist[k]
-        val = mass / count_of(k)
-        if val > best_val:
-            best_val, best_r = val, k
-    return best_val, best_r
-
-
-def centered_max_1d(f: GridFunction, n: int) -> ArgmaxWitness:
-    """Mf(n) = max_r average of |f| over [n-r, n+r], smallest-radius tie-break."""
-    if f.dim != 1:
-        raise ValueError("centered_max_1d requires a 1-D function")
-    if not f:
-        return ArgmaxWitness(Fraction(0), 1, L1Ball((n,), 0))
-    val, r = _centered_witness(
-        f, (n,), lambda p, q: abs(p[0] - q[0]), lambda k: 2 * k + 1
-    )
-    return ArgmaxWitness(val, 2 * r + 1, L1Ball((n,), r))
-
-
 def centered_max_l1(f: GridFunction, n: LatticePoint) -> ArgmaxWitness:
-    """Cross-polytope maximal function at n, smallest-radius tie-break."""
+    """Cross-polytope maximal function at n, smallest-radius tie-break.
+
+    The candidate radii are the distances from n to the support: between
+    consecutive distances the mass is constant and the count strictly
+    increases, and beyond the largest the average is ||f||_1 / N(d, r),
+    strictly decreasing.  Scanning them in increasing order with strict
+    improvement yields the smallest maximising radius.
+    """
     n = tuple(n)
     if len(n) != f.dim:
         raise ValueError("point dimension does not match function dimension")
     if not f:
         return ArgmaxWitness(Fraction(0), 1, L1Ball(n, 0))
-    d = f.dim
-    val, r = _centered_witness(
-        f,
-        n,
-        lambda p, q: sum(abs(a - b) for a, b in zip(p, q)),
-        lambda k: lattice.l1_ball_count(d, k) if k else 1,
+    masses, scale = f.integer_masses()
+    by_dist: dict[int, int] = {}
+    for p, m in zip(f.support, masses):
+        k = sum(abs(a - b) for a, b in zip(p, n))
+        by_dist[k] = by_dist.get(k, 0) + m
+    best_mass, best_count, best_r = 0, 1, 0
+    mass = 0
+    for k in sorted(by_dist):
+        mass += by_dist[k]
+        count = lattice.l1_ball_count(f.dim, k)
+        if mass * best_count > best_mass * count:
+            best_mass, best_count, best_r = mass, count, k
+    return ArgmaxWitness(
+        Fraction(best_mass, scale * best_count), best_count, L1Ball(n, best_r)
     )
-    count = lattice.l1_ball_count(d, r) if r else 1
-    return ArgmaxWitness(val, count, L1Ball(n, r))
+
+
+def centered_max_1d(f: GridFunction, n: int) -> ArgmaxWitness:
+    """Max average of |f| over [n-r, n+r]: `centered_max_l1` at d = 1."""
+    return centered_max_l1(f, (n,))
 
 
 # ---------------------------------------------------------------------------
-# Uncentered operators
+# Uncentered kernel
 # ---------------------------------------------------------------------------
+
+#: (scaled mass, point count, lower corner, upper corner) of a candidate box
+Candidate = tuple[int, int, LatticePoint, LatticePoint]
+
+
+def uncentered_max_cube(f: GridFunction, n: LatticePoint) -> ArgmaxWitness:
+    """Max average of |f| over admissible boxes containing n.
+
+    Equals the supremum over all lattice boxes with per-axis counts
+    differing by at most one that contain n and meet the support.
+    Tie-break: smallest count, then lexicographic lower corner, then
+    lexicographic upper corner.
+    """
+    n = tuple(n)
+    if len(n) != f.dim:
+        raise ValueError("point dimension does not match function dimension")
+    if not f:
+        return ArgmaxWitness(Fraction(0), 1, LatticeBox(n, n))
+    masses, scale = f.integer_masses()
+    if f.dim == 1:
+        candidates = _run_boxes([p[0] for p in f.support], masses, n[0])
+    elif len(masses) <= SUBSET_LIMIT:
+        candidates = _subset_boxes(f.support, masses, n)
+    else:
+        candidates = _enumerated_boxes(f, masses, n)
+    best = next(candidates)
+    for cand in candidates:
+        cross = cand[0] * best[1] - best[0] * cand[1]
+        if cross > 0 or (cross == 0 and cand[1:] < best[1:]):
+            best = cand
+    mass, count, lower, upper = best
+    return ArgmaxWitness(Fraction(mass, scale * count), count, LatticeBox(lower, upper))
+
 
 def uncentered_max_1d(f: GridFunction, n: int) -> ArgmaxWitness:
-    """Max average over intervals [a, b] containing n.
+    """Max average of |f| over intervals containing n: `uncentered_max_cube` at d = 1."""
+    return uncentered_max_cube(f, (n,))
 
-    Endpoints are pruned to the hull of {n} and the support: stretching an
-    interval past the hull adds points but no mass.  Tie-break: smallest
-    point count, then smallest left endpoint.
+
+def _run_boxes(xs: list[int], masses: list[int], c: int) -> Iterator[Candidate]:
+    """Hull of {c} and each run xs[i..j] of the sorted 1-D support.
+
+    Runs ending before the last point <= c, or starting after the first
+    point >= c, are skipped: extending them towards c keeps the hull.
     """
-    if f.dim != 1:
-        raise ValueError("uncentered_max_1d requires a 1-D function")
-    if not f:
-        return ArgmaxWitness(Fraction(0), 1, LatticeBox((n,), (n,)))
-    supp_lo = f.support[0][0]
-    supp_hi = f.support[-1][0]
-    lo = min(supp_lo, n)
-    hi = max(supp_hi, n)
-    width = hi - lo + 1
-    prefix = [Fraction(0)] * (width + 1)
-    for i in range(width):
-        prefix[i + 1] = prefix[i] + abs(f[(lo + i,)])
-
-    a_hi = min(n, supp_hi)
-    b_lo = max(n, supp_lo)
-    best: tuple[Fraction, int, int] | None = None  # (value, count, a)
-    for a in range(lo, a_hi + 1):
-        for b in range(b_lo, hi + 1):
-            count = b - a + 1
-            val = (prefix[b - lo + 1] - prefix[a - lo]) / count
-            if (
-                best is None
-                or val > best[0]
-                or (val == best[0] and (count, a) < (best[1], best[2]))
-            ):
-                best = (val, count, a)
-    assert best is not None
-    val, count, a = best
-    return ArgmaxWitness(val, count, LatticeBox((a,), (a + count - 1,)))
+    prefix = list(accumulate(masses, initial=0))
+    first = min(bisect_left(xs, c), len(xs) - 1)
+    last = max(bisect_right(xs, c) - 1, 0)
+    for i in range(first + 1):
+        lo = min(xs[i], c)
+        for j in range(max(i, last), len(xs)):
+            hi = max(xs[j], c)
+            yield prefix[j + 1] - prefix[i], hi - lo + 1, (lo,), (hi,)
 
 
-def _subset_box_candidates(
-    f: GridFunction, n: LatticePoint
-) -> Iterator[tuple[Fraction, int, LatticeBox]]:
+def _subset_boxes(
+    points: tuple[LatticePoint, ...], masses: list[int], n: LatticePoint
+) -> Iterator[Candidate]:
     """Minimal-count admissible box around hull(n, S) per support subset S."""
-    d = f.dim
-    points = list(f.support)
-    masses = [abs(v) for _, v in f.items()]
+    d = len(n)
     for mask in range(1, 1 << len(points)):
         los = list(n)
         his = list(n)
-        mass = Fraction(0)
+        mass = 0
         m = mask
         idx = 0
         while m:
@@ -269,68 +279,20 @@ def _subset_box_candidates(
         extents = [h - l + 1 for l, h in zip(los, his)]
         side = max(extents)
         counts = [max(e, side - 1) for e in extents]
-        q = 1
-        for c in counts:
-            q *= c
         # lexicographically smallest placement keeping hull(n, S) inside
         lower = tuple(h - c + 1 for h, c in zip(his, counts))
         upper = tuple(l + c - 1 for l, c in zip(lower, counts))
-        yield mass / q, q, LatticeBox(lower, upper)
+        yield mass, prod(counts), lower, upper
 
 
-def uncentered_max_cube(f: GridFunction, n: LatticePoint) -> ArgmaxWitness:
-    """Max average of |f| over admissible boxes containing n.
-
-    Equals the supremum over all lattice boxes with per-axis counts
-    differing by at most one that contain n and meet the support.
-    Tie-break: smallest count, then lexicographic lower corner, then
-    lexicographic upper corner.
-    """
-    n = tuple(n)
-    if len(n) != f.dim:
-        raise ValueError("point dimension does not match function dimension")
-    if not f:
-        return ArgmaxWitness(Fraction(0), 1, LatticeBox(n, n))
-    if len(f.support) > SUBSET_LIMIT:
-        return _uncentered_max_cube_enumerate(f, n)
-    best: tuple[Fraction, int, LatticeBox] | None = None
-    for val, count, box in _subset_box_candidates(f, n):
-        if (
-            best is None
-            or val > best[0]
-            or (
-                val == best[0]
-                and (count, box.lower, box.upper)
-                < (best[1], best[2].lower, best[2].upper)
-            )
-        ):
-            best = (val, count, box)
-    assert best is not None
-    return ArgmaxWitness(best[0], best[1], best[2])
-
-
-def _uncentered_max_cube_enumerate(f: GridFunction, n: LatticePoint) -> ArgmaxWitness:
+def _enumerated_boxes(
+    f: GridFunction, masses: list[int], n: LatticePoint
+) -> Iterator[Candidate]:
     """Literal admissible-box sweep; used when the support is large."""
-    support_box = f.support_box()
-    assert support_box is not None
-    best: tuple[Fraction, int, LatticeBox] | None = None
-    for lower, upper in lattice.admissible_boxes_through(n, support_box):
+    for lower, upper in lattice.admissible_boxes_through(n, f.support_box()):
         box = LatticeBox(lower, upper)
-        count = box.count()
-        mass = tree_sum(abs(v) for p, v in f.items() if box.contains(p))
-        val = mass / count
-        if (
-            best is None
-            or val > best[0]
-            or (
-                val == best[0]
-                and (count, box.lower, box.upper)
-                < (best[1], best[2].lower, best[2].upper)
-            )
-        ):
-            best = (val, count, box)
-    assert best is not None
-    return ArgmaxWitness(best[0], best[1], best[2])
+        mass = sum(m for p, m in zip(f.support, masses) if box.contains(p))
+        yield mass, box.count(), lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -376,51 +338,19 @@ def maximal_witness(f: GridFunction, spec: BallSpec, n: LatticePoint | int) -> A
         raise ValueError(f"spec dim {spec.dim} does not match function dim {f.dim}")
     if isinstance(n, int):
         n = (n,)
-    if spec.geometry == "centered1d":
-        return centered_max_1d(f, n[0])
-    if spec.geometry == "uncentered1d":
-        return uncentered_max_1d(f, n[0])
-    if spec.geometry == "l1":
-        return centered_max_l1(f, n)
-    return uncentered_max_cube(f, n)
-
-
-def _box_points(box: Box) -> Iterator[LatticePoint]:
-    lower, upper = box
-    if not lower:
-        yield ()
-        return
-    for x in range(lower[0], upper[0] + 1):
-        for rest in _box_points((lower[1:], upper[1:])):
-            yield (x,) + rest
+    kernel = centered_max_l1 if spec.centered else uncentered_max_cube
+    return kernel(f, n)
 
 
 def evaluate_on_box(
-    f: GridFunction, spec: BallSpec, box: Box, threads: int = 1
+    f: GridFunction, spec: BallSpec, box: Box
 ) -> dict[LatticePoint, Fraction]:
-    """Maximal function values at every lattice point of `box`.
-
-    Identical to pointwise calls; points are independent, so with
-    threads > 1 the box is partitioned into chunks evaluated by a worker
-    pool and merged in lexicographic order.
-    """
+    """Maximal function values at every lattice point of `box`, in
+    lexicographic order; identical to pointwise calls."""
     lower, upper = box
     if len(lower) != f.dim:
         raise ValueError("box dimension does not match function dimension")
     if any(l > u for l, u in zip(lower, upper)):
         raise ValueError("invalid box")
-    points = list(_box_points(box))
-    if threads > 1 and len(points) > 64:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def work(chunk: list[LatticePoint]) -> list[Fraction]:
-            return [maximal_witness(f, spec, p).value for p in chunk]
-
-        size = (len(points) + threads - 1) // threads
-        chunks = [points[i : i + size] for i in range(0, len(points), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, chunks))
-        values = [v for part in results for v in part]
-    else:
-        values = [maximal_witness(f, spec, p).value for p in points]
-    return dict(zip(points, values))
+    axes = [range(l, u + 1) for l, u in zip(lower, upper)]
+    return {p: maximal_witness(f, spec, p).value for p in product(*axes)}

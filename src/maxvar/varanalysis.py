@@ -56,7 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 import numpy as np
 
@@ -94,13 +93,8 @@ def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fracti
         return Fraction(0)
     # per axis: the line ends plus the support's projection, where Mf may turn
     stops = [sorted({-R, R, *range(lo, hi + 1)}) for lo, hi in zip(*f.support_box())]
-    if (
-        f.dim == 2
-        and spec.geometry in ("l1", "cube")
-        and len(f.support) <= _GRID_SUPPORT_LIMIT
-        and _grid_products_fit_int64(f, R)
-    ):
-        return _sweep_2d(f, spec.geometry, R, stops)
+    if f.dim == 2 and len(f.support) <= _GRID_SUPPORT_LIMIT and _grid_products_fit_int64(f, R):
+        return _sweep_2d(f, spec.centered, R, stops)
     return _sweep_exact(f, spec, R, stops)
 
 
@@ -111,7 +105,7 @@ def _grid_products_fit_int64(f: GridFunction, R: int) -> bool:
     the largest ball/box count reachable inside the sweep; their product is
     the biggest value formed.  Falls back to the exact evaluator otherwise.
     """
-    masses, _ = _mass_scale(f)
+    masses, _ = f.integer_masses()
     max_num = sum(masses)
     span = f.support_radius()
     max_den = max(
@@ -144,21 +138,15 @@ def _sweep_exact(
 
 # -- vectorised 2-D sweep ----------------------------------------------------
 
-def _mass_scale(f: GridFunction) -> tuple[list[int], int]:
-    vals = [abs(v) for _, v in f.items()]
-    scale = lcm(*(v.denominator for v in vals))
-    return [int(v * scale) for v in vals], scale
-
-
-def _sweep_2d(f: GridFunction, geometry: str, R: int, stops: list[list[int]]) -> Fraction:
+def _sweep_2d(f: GridFunction, centered: bool, R: int, stops: list[list[int]]) -> Fraction:
     """Line sweep over int64 values, reduced exactly per denominator.
 
     Lines run along axis 0 (then axis 1) and are evaluated in chunks of
     rows, one row per line and one column per stop.
     """
     points = list(f.support)
-    masses, scale = _mass_scale(f)
-    layers = len(points) if geometry == "l1" else (1 << len(points)) - 1
+    masses, scale = f.integer_masses()
+    layers = len(points) if centered else (1 << len(points)) - 1
     coords = np.arange(-R, R + 1, dtype=np.int64)
     acc: dict[int, int] = {}
     for axis, ts in enumerate(stops):
@@ -167,7 +155,7 @@ def _sweep_2d(f: GridFunction, geometry: str, R: int, stops: list[list[int]]) ->
         for r0 in range(0, len(coords), rows):
             c = coords[r0 : r0 + rows, None]
             x, y = (t, c) if axis == 0 else (c, t)
-            num, den = _values_2d(points, masses, geometry, R, x, y)
+            num, den = _values_2d(points, masses, centered, R, x, y)
             _add_run_boundaries(num, den, acc)
     terms = [
         Fraction(total, dd * scale) for dd, total in sorted(acc.items()) if total
@@ -198,7 +186,7 @@ def _add_run_boundaries(num, den, acc: dict[int, int]) -> None:
 
 
 def _values_2d(
-    points: list[LatticePoint], masses: list[int], geometry: str, R: int, x, y
+    points: list[LatticePoint], masses: list[int], centered: bool, R: int, x, y
 ):
     """Mf at the points (x, y) as int64 arrays (num, den).
 
@@ -208,7 +196,7 @@ def _values_2d(
     """
     shape = np.broadcast_shapes(x.shape, y.shape)
 
-    if geometry == "l1":
+    if centered:
         k_max = max(abs(p[0]) + abs(p[1]) for p in points) + 2 * R
         ntab = np.array(lattice.ShellTable.build(2, k_max).counts, dtype=np.int64)
         layers = len(points)
@@ -376,12 +364,6 @@ def line_contribution_cap_cube(p: LatticePoint, line: LatticeLine) -> Fraction:
 # Closed-form delta sums
 # ---------------------------------------------------------------------------
 
-def _delta_value(geometry: str, point: LatticePoint) -> Fraction:
-    if geometry in ("l1", "centered1d"):
-        return maxop.delta_centered_l1_closed_form((0,) * len(point), point)
-    return maxop.delta_uncentered_cube_closed_form((0,) * len(point), point)
-
-
 def delta_variation_closed_form(geometry: str, d: int, R: int) -> Fraction:
     """Truncated variation over [-R, R]^d of the maximal function of a unit
     delta at the origin, from the pointwise closed forms.
@@ -391,30 +373,18 @@ def delta_variation_closed_form(geometry: str, d: int, R: int) -> Fraction:
     line segment contributes exactly twice (peak minus boundary value).  The
     d directions contribute equally by symmetry.
     """
-    if geometry not in ("l1", "cube", "centered1d", "uncentered1d"):
-        raise ValueError(f"unknown geometry {geometry!r}")
-    if geometry in ("centered1d", "uncentered1d") and d != 1:
-        raise ValueError("interval geometries require d = 1")
+    if BallSpec(geometry, d).centered:
+        value = maxop.delta_centered_l1_closed_form
+    else:
+        value = maxop.delta_uncentered_cube_closed_form
     if R < 0:
         raise ValueError("R must be >= 0")
-    if d == 1:
-        peak = _delta_value(geometry, (0,))
-        edge = _delta_value(geometry, (R,))
-        return 2 * (peak - edge)
-    terms = []
-    for base in _cross_section(d, R):
-        peak = _delta_value(geometry, base + (0,))
-        edge = _delta_value(geometry, base + (R,))
-        terms.append(2 * (peak - edge))
+    origin = (0,) * d
+    terms = [
+        2 * (value(origin, base + (0,)) - value(origin, base + (R,)))
+        for base in product(range(-R, R + 1), repeat=d - 1)
+    ]
     return d * tree_sum(terms)
-
-
-def _cross_section(d: int, R: int):
-    if d == 2:
-        for c in range(-R, R + 1):
-            yield (c,)
-        return
-    yield from product(range(-R, R + 1), repeat=d - 1)
 
 
 def delta_line_cap_totals(

@@ -58,6 +58,25 @@ def _recenter(f: GridFunction) -> GridFunction:
     return f
 
 
+def _record(
+    f: GridFunction, spec: BallSpec, var: Fraction, bound: Fraction, R: int
+) -> SharpnessRecord:
+    """The record of a truncated variation `var` of Mf measured at radius R."""
+    norm = f.l1_norm()
+    ratio = var / norm
+    return SharpnessRecord(
+        support_size=len(f.support),
+        support=f.support,
+        l1_norm=norm,
+        spec=spec,
+        ratio=ratio,
+        bound=bound,
+        gap=bound - ratio,
+        is_delta=f.is_delta(),
+        truncation_radius=R,
+    )
+
+
 def verify_inequality(
     f: GridFunction,
     spec: BallSpec,
@@ -75,21 +94,8 @@ def verify_inequality(
         raise ValueError("verify_inequality requires a nonzero function")
     f = _recenter(f)
     report = adaptive_variation(f, spec, epsilon, r_max=r_max, terms=terms)
-    norm = f.l1_norm()
-    ratio = report.truncated_var / norm
     bound = bound_for_geometry(spec.geometry, spec.dim, terms).upper
-    record = SharpnessRecord(
-        support_size=len(f.support),
-        support=f.support,
-        l1_norm=norm,
-        spec=spec,
-        ratio=ratio,
-        bound=bound,
-        gap=bound - ratio,
-        is_delta=f.is_delta(),
-        truncation_radius=report.truncation_radius,
-    )
-    return record, report
+    return _record(f, spec, report.truncated_var, bound, report.truncation_radius), report
 
 
 @dataclass(frozen=True)
@@ -228,29 +234,13 @@ def scan_extremizers(
     if R < max_distance:
         raise ValueError("R must cover the family diameter")
     bound = bound_for_geometry(spec.geometry, spec.dim, terms).upper
-    records: list[SharpnessRecord] = []
-
-    def record_for(f: GridFunction) -> SharpnessRecord:
-        var = truncated_variation_maxfn(f, spec, R)
-        norm = f.l1_norm()
-        ratio = var / norm
-        return SharpnessRecord(
-            support_size=len(f.support),
-            support=f.support,
-            l1_norm=norm,
-            spec=spec,
-            ratio=ratio,
-            bound=bound,
-            gap=bound - ratio,
-            is_delta=f.is_delta(),
-            truncation_radius=R,
-        )
-
-    if include_delta:
-        records.append(record_for(GridFunction.delta((0,) * spec.dim)))
-    for q in two_point_shapes(spec, max_distance):
-        for ratio in ratios:
-            f = GridFunction(spec.dim, {(0,) * spec.dim: Fraction(1), q: ratio})
-            records.append(record_for(f))
+    origin = (0,) * spec.dim
+    family = [GridFunction.delta(origin)] if include_delta else []
+    family += [
+        GridFunction(spec.dim, {origin: Fraction(1), q: ratio})
+        for q in two_point_shapes(spec, max_distance)
+        for ratio in ratios
+    ]
+    records = [_record(f, spec, truncated_variation_maxfn(f, spec, R), bound, R) for f in family]
     records.sort(key=SharpnessRecord.sort_key)
     return records

@@ -176,6 +176,18 @@ class TestVerify:
     def test_missing_flags_exit_2(self):
         assert run_cli("verify").returncode == 2
 
+    def test_l1_on_1d_input_equals_centered1d(self, tmp_path):
+        doc = write_doc(
+            tmp_path, "f.json", 1,
+            [{"point": [-3], "value": "2/3"}, {"point": [0], "value": "-1"}, {"point": [4], "value": "5/2"}],
+        )
+        l1 = run_cli("verify", "--input", doc, "--geometry", "l1")
+        interval = run_cli("verify", "--input", doc, "--geometry", "centered1d")
+        assert l1.returncode == interval.returncode == 0
+        a, b = json.loads(l1.stdout), json.loads(interval.stdout)
+        assert a.pop("geometry") == "l1" and b.pop("geometry") == "centered1d"
+        assert a == b
+
 
 class TestScan:
     def test_unknown_family_exit_2(self):
@@ -195,6 +207,33 @@ class TestScan:
         assert all(g > 0 for g in parsed)
         # first row is the delta
         assert rows[1].split(",")[3] == "1"
+
+
+    def test_gaps_over_4300_digits_print_in_full(self):
+        r = run_cli("scan", "--geometry", "l1", "--radius", "5", "--box", "1000")
+        assert r.returncode == 0, r.stderr
+        longest = max(len(field) for row in r.stdout.splitlines() for field in row.split(","))
+        assert longest > 4300
+
+
+class TestFormatRational:
+    def test_more_than_4300_digits(self):
+        from fractions import Fraction as Q
+
+        from maxvar.exact import format_rational
+
+        def parse(digits):  # int(str) has the same digit limit, so go in chunks
+            n = 0
+            for i in range(0, len(digits), 1000):
+                chunk = digits[i : i + 1000]
+                n = n * 10 ** len(chunk) + int(chunk)
+            return n
+
+        q = Q(-(7**6000) - 3, 11**5000)
+        num, den = format_rational(q).split("/")
+        assert num.startswith("-") and len(num) > 4300 and len(den) > 4300
+        assert Q(parse(num[1:]), parse(den)) == -q
+        assert format_rational(Q(-5)) == "-5" and format_rational(Q(3, 4)) == "3/4"
 
 
 class TestDocumentRoundTrip:

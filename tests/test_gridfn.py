@@ -73,6 +73,15 @@ class TestLpNorm:
         v = lp_norm(GridFunction(1, {(0,): big, (1,): big}), 2)
         assert isinstance(v, float) and abs(v / 1e200 - 2**0.5) < 1e-12
 
+    def test_fractional_p_single_value(self):
+        v = lp_norm(GridFunction.delta(0, 4), Q(3, 2))
+        assert abs(v - 4) < 1e-12 * 4
+
+    def test_fractional_p_matches_float_reference(self):
+        f = GridFunction(1, {(0,): Q(3, 2), (4,): Q(-7, 3)})
+        ref = (1.5**2.5 + (7 / 3) ** 2.5) ** (1 / 2.5)
+        assert abs(lp_norm(f, Q(5, 2)) - ref) < 1e-12 * ref
+
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
             lp_norm(GridFunction.delta(0), Q(1, 2))
