@@ -30,7 +30,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import constants, lattice, maxop, oracle, varanalysis, verify
+from . import constants, lattice, maxop, varanalysis, verify
 from .exact import decimal_str, format_rational, parse_rational
 from .gridfn import GridFunction
 from .maxop import BallSpec
@@ -261,6 +261,8 @@ def _run_suite(args: argparse.Namespace) -> int:
     elif args.suite == "sharpness":
         _sharpness_suite(checks)
     elif args.suite == "oracle":
+        if args.instances < 0:
+            raise CliError("--instances must be >= 0", EXIT_USAGE)
         _oracle_suite(checks, seed=args.seed, instances=args.instances)
     else:
         raise CliError(f"unknown suite {args.suite!r}", EXIT_USAGE)
@@ -318,7 +320,7 @@ def _oracle_suite(checks: list, seed: int, instances: int) -> None:
                 rng.randint(0, 10**9), d, 6, rng.randint(1, 5)
             )
             n = tuple(rng.randint(-8, 8) for _ in range(d))
-            fast, slow = _fast_slow(f, geometry, n)
+            fast, slow = verify.oracle_agreement(f, BallSpec(geometry, d), n)
             total += 1
             if fast.value == slow.value and fast.region == slow.region:
                 agree += 1
@@ -334,28 +336,6 @@ def _oracle_suite(checks: list, seed: int, instances: int) -> None:
     )
 
 
-def _fast_slow(f: GridFunction, geometry: str, n: tuple[int, ...]):
-    """The kernel's witness at n and the brute-force one for the same geometry."""
-    fast = maxop.maximal_witness(f, BallSpec(geometry, f.dim), n)
-    reach = max((sum(abs(a - b) for a, b in zip(p, n)) for p in f.support), default=0) + 2
-    if geometry == "centered1d":
-        return fast, oracle.brute_centered_1d(f, n[0], reach)
-    if geometry == "uncentered1d":
-        return fast, oracle.brute_uncentered_1d(f, n[0], reach)
-    if geometry == "l1":
-        return fast, oracle.brute_centered_l1(f, n, reach)
-    bbox = f.support_box()
-    span = 2
-    if bbox is not None:
-        span = (
-            max(
-                max(u, c) - min(l, c) + 1 for l, u, c in zip(bbox[0], bbox[1], n)
-            )
-            + 1
-        )
-    return fast, oracle.brute_uncentered_cube(f, n, span)
-
-
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------
@@ -365,9 +345,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise CliError(f"unknown family {args.family!r}", EXIT_USAGE)
     dim = 1 if args.geometry.endswith("1d") else 2
     spec = BallSpec(args.geometry, dim)
-    records = verify.scan_extremizers(
-        spec, max_distance=args.radius, R=args.box, terms=args.terms
-    )
+    try:
+        records = verify.scan_extremizers(
+            spec, max_distance=args.radius, R=args.box, terms=args.terms
+        )
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_USAGE)
     writer = csv.writer(sys.stdout)
     writer.writerow(
         [

@@ -22,11 +22,15 @@ below are pruned to provably sufficient finite sets:
 * centered sweeps stop at r* = max distance from n to the support, beyond
   which the average is ||f||_1 / N(r), strictly decreasing;
 * candidate cube boxes are the minimal-count admissible boxes around the
-  hull of {n} and a support subset.  For any box B the average is at most
-  mass(B) / Q where Q is that minimal count for B's own captured subset, so
-  the subset candidates dominate every box, and each candidate is realised
-  by an actual box.  The literal box enumeration lives in `oracle` as the
-  independent cross-check.
+  hull of {n} and a closed support subset.  For any box B the average is
+  at most mass(B) / Q where Q is that minimal count for B's own captured
+  subset, so the subset candidates dominate every box, and each candidate
+  is realised by an actual box.  A subset S is closed when it is all of
+  the support inside its own hull; S and its closure give {n} the same
+  hull, and the closure carries strictly more mass unless it is S, so only
+  closed subsets -- one per distinct hull box, `hull_closures` -- can win.
+  The literal box enumeration lives in `oracle` as the independent
+  cross-check.
 * at d = 1 the minimal box is the hull itself, and a subset has the same
   hull as the run of consecutive support points between its least and
   largest point, which carries at least its mass.  So the O(s^2) runs of
@@ -46,6 +50,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, product
 from math import prod
 from typing import Iterator
@@ -254,34 +259,53 @@ def _run_boxes(xs: list[int], masses: list[int], c: int) -> Iterator[Candidate]:
             yield prefix[j + 1] - prefix[i], hi - lo + 1, (lo,), (hi,)
 
 
+@lru_cache(maxsize=64)
+def hull_closures(
+    points: tuple[LatticePoint, ...], masses: tuple[int, ...]
+) -> tuple[tuple[int, LatticePoint, LatticePoint], ...]:
+    """(mass, lower, upper) per distinct hull box of a nonempty support subset.
+
+    The mass is that of every support point inside the box, the subset's
+    closure; with positive masses it is the largest mass of any subset
+    with that hull.  Hulls and masses are built up one point at a time
+    over the 2^s - 1 subset masks, so this runs once per support and is
+    memoised on (points, masses).
+    """
+    full = 1 << len(points)
+    lowers: list[LatticePoint] = [()] * full
+    uppers: list[LatticePoint] = [()] * full
+    subset_mass = [0] * full
+    closures: dict[tuple[LatticePoint, LatticePoint], int] = {}
+    for mask in range(1, full):
+        bit = mask & -mask
+        i = bit.bit_length() - 1
+        rest = mask ^ bit
+        p = points[i]
+        if rest:
+            lo = tuple(map(min, lowers[rest], p))
+            hi = tuple(map(max, uppers[rest], p))
+        else:
+            lo = hi = p
+        lowers[mask], uppers[mask] = lo, hi
+        mass = subset_mass[mask] = subset_mass[rest] + masses[i]
+        if mass > closures.get((lo, hi), 0):
+            closures[lo, hi] = mass
+    return tuple((mass, lo, hi) for (lo, hi), mass in closures.items())
+
+
 def _subset_boxes(
     points: tuple[LatticePoint, ...], masses: list[int], n: LatticePoint
 ) -> Iterator[Candidate]:
-    """Minimal-count admissible box around hull(n, S) per support subset S."""
-    d = len(n)
-    for mask in range(1, 1 << len(points)):
-        los = list(n)
-        his = list(n)
-        mass = 0
-        m = mask
-        idx = 0
-        while m:
-            if m & 1:
-                p = points[idx]
-                mass += masses[idx]
-                for i in range(d):
-                    if p[i] < los[i]:
-                        los[i] = p[i]
-                    elif p[i] > his[i]:
-                        his[i] = p[i]
-            m >>= 1
-            idx += 1
-        extents = [h - l + 1 for l, h in zip(los, his)]
-        side = max(extents)
-        counts = [max(e, side - 1) for e in extents]
+    """Minimal-count admissible box around hull(n, S) per closed subset S."""
+    for mass, hull_lo, hull_hi in hull_closures(points, tuple(masses)):
+        # conditional expressions: this loop runs once per point and closure
+        his = [h if h > c else c for h, c in zip(hull_hi, n)]
+        extents = [h - (l if l < c else c) + 1 for l, h, c in zip(hull_lo, his, n)]
+        short = max(extents) - 1
+        counts = [e if e > short else short for e in extents]
         # lexicographically smallest placement keeping hull(n, S) inside
-        lower = tuple(h - c + 1 for h, c in zip(his, counts))
-        upper = tuple(l + c - 1 for l, c in zip(lower, counts))
+        lower = tuple([h - c + 1 for h, c in zip(his, counts)])
+        upper = tuple([l + c - 1 for l, c in zip(lower, counts)])
         yield mass, prod(counts), lower, upper
 
 

@@ -21,8 +21,10 @@ t - 1 with t <= lo (the other side is symmetric):
   side, so every distance grows by exactly 1 and their order is kept: each
   candidate keeps its mass set and its count grows.
 * cube (uncentered1d is its d = 1 case): Mf is the best of mass(S) / q_S
-  over support subsets S, q_S being the least count of an admissible box
-  around the hull of S and the query point.  Exactly one hull extent, e_i,
+  over the closed support subsets S (those holding every support point of
+  their own hull, `maxop.hull_closures`), q_S being the least count of an
+  admissible box around the hull of S and the query point.  The closed
+  subsets do not depend on the query point.  Exactly one hull extent, e_i,
   grows by 1; the per-axis counts max(e_j, max(e) - 1) are nondecreasing in
   every extent, so every q_S is nondecreasing.
 
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -65,7 +68,8 @@ from .gridfn import GridFunction
 from .lattice import Box, LatticePoint
 from .maxop import BallSpec
 
-#: largest support size routed through the vectorised cube path (2^s layers)
+#: largest support size routed through the vectorised path; the cube layers
+#: are the closed subsets of `maxop.hull_closures`, at most 2^s - 1 of them
 _GRID_SUPPORT_LIMIT = 8
 
 #: int64 cells per candidate layer that one vectorised chunk of lines may hold
@@ -144,9 +148,14 @@ def _sweep_2d(f: GridFunction, centered: bool, R: int, stops: list[list[int]]) -
     Lines run along axis 0 (then axis 1) and are evaluated in chunks of
     rows, one row per line and one column per stop.
     """
-    points = list(f.support)
     masses, scale = f.integer_masses()
-    layers = len(points) if centered else (1 << len(points)) - 1
+    if centered:
+        layers = len(masses)
+        values = partial(_l1_values_2d, f.support, masses, R)
+    else:
+        closures = maxop.hull_closures(f.support, tuple(masses))
+        layers = len(closures)
+        values = partial(_cube_values_2d, closures)
     coords = np.arange(-R, R + 1, dtype=np.int64)
     acc: dict[int, int] = {}
     for axis, ts in enumerate(stops):
@@ -155,7 +164,7 @@ def _sweep_2d(f: GridFunction, centered: bool, R: int, stops: list[list[int]]) -
         for r0 in range(0, len(coords), rows):
             c = coords[r0 : r0 + rows, None]
             x, y = (t, c) if axis == 0 else (c, t)
-            num, den = _values_2d(points, masses, centered, R, x, y)
+            num, den = values(x, y)
             _add_run_boundaries(num, den, acc)
     terms = [
         Fraction(total, dd * scale) for dd, total in sorted(acc.items()) if total
@@ -185,61 +194,57 @@ def _add_run_boundaries(num, den, acc: dict[int, int]) -> None:
         acc[dd] = acc.get(dd, 0) + c * nn
 
 
-def _values_2d(
-    points: list[LatticePoint], masses: list[int], centered: bool, R: int, x, y
-):
-    """Mf at the points (x, y) as int64 arrays (num, den).
+def _l1_values_2d(points: tuple[LatticePoint, ...], masses: list[int], R: int, x, y):
+    """Cross-polytope Mf at the points (x, y) as int64 arrays (num, den).
 
     `masses` are the support's |values| times their common denominator
     `scale`, and Mf = num / (scale * den).  x and y are int64 coordinate
     arrays with entries in [-R, R] that broadcast to the result's shape.
     """
     shape = np.broadcast_shapes(x.shape, y.shape)
+    k_max = max(abs(p[0]) + abs(p[1]) for p in points) + 2 * R
+    ntab = np.array(lattice.ShellTable.build(2, k_max).counts, dtype=np.int64)
+    layers = len(points)
+    d1 = np.abs(x - points[0][0]) + np.abs(y - points[0][1])
+    if layers == 1:
+        return np.full(shape, masses[0], dtype=np.int64), ntab[d1]
+    if layers == 2:
+        d2 = np.abs(x - points[1][0]) + np.abs(y - points[1][1])
+        first_near = d1 <= d2
+        near = np.where(first_near, d1, d2)
+        far = np.where(first_near, d2, d1)
+        m_near = np.where(first_near, masses[0], masses[1])
+        n_near = ntab[near]
+        n_far = ntab[far]
+        total = masses[0] + masses[1]
+        # best of (m_near / N(near), total / N(far)), ties to either
+        take_far = total * n_near > m_near * n_far
+        num = np.where(take_far, total, m_near)
+        den = np.where(take_far, n_far, n_near)
+        return num, den
+    mass_arr = np.array(masses, dtype=np.int64)
+    dist = np.stack(
+        [np.broadcast_to(np.abs(x - p[0]) + np.abs(y - p[1]), shape) for p in points]
+    )
+    order = np.argsort(dist, axis=0, kind="stable")
+    dsort = np.take_along_axis(dist, order, axis=0)
+    cum = np.cumsum(mass_arr[order], axis=0)
+    dens = ntab[dsort]
+    bn = cum[0].copy()
+    bd = dens[0].copy()
+    for i in range(1, layers):
+        better = cum[i] * bd > bn * dens[i]
+        np.copyto(bn, cum[i], where=better)
+        np.copyto(bd, dens[i], where=better)
+    return bn, bd
 
-    if centered:
-        k_max = max(abs(p[0]) + abs(p[1]) for p in points) + 2 * R
-        ntab = np.array(lattice.ShellTable.build(2, k_max).counts, dtype=np.int64)
-        layers = len(points)
-        d1 = np.abs(x - points[0][0]) + np.abs(y - points[0][1])
-        if layers == 1:
-            return np.full(shape, masses[0], dtype=np.int64), ntab[d1]
-        if layers == 2:
-            d2 = np.abs(x - points[1][0]) + np.abs(y - points[1][1])
-            first_near = d1 <= d2
-            near = np.where(first_near, d1, d2)
-            far = np.where(first_near, d2, d1)
-            m_near = np.where(first_near, masses[0], masses[1])
-            n_near = ntab[near]
-            n_far = ntab[far]
-            total = masses[0] + masses[1]
-            # best of (m_near / N(near), total / N(far)), ties to either
-            take_far = total * n_near > m_near * n_far
-            num = np.where(take_far, total, m_near)
-            den = np.where(take_far, n_far, n_near)
-            return num, den
-        mass_arr = np.array(masses, dtype=np.int64)
-        dist = np.stack(
-            [np.broadcast_to(np.abs(x - p[0]) + np.abs(y - p[1]), shape) for p in points]
-        )
-        order = np.argsort(dist, axis=0, kind="stable")
-        dsort = np.take_along_axis(dist, order, axis=0)
-        cum = np.cumsum(mass_arr[order], axis=0)
-        dens = ntab[dsort]
-        bn = cum[0].copy()
-        bd = dens[0].copy()
-        for i in range(1, layers):
-            better = cum[i] * bd > bn * dens[i]
-            np.copyto(bn, cum[i], where=better)
-            np.copyto(bd, dens[i], where=better)
-        return bn, bd
 
-    # cube: minimal admissible-box count per support subset
+def _cube_values_2d(closures, x, y):
+    """Cube Mf at the points (x, y) as int64 arrays (num, den), as in
+    `_l1_values_2d`: the best minimal admissible-box count around the hull
+    of (x, y) and each closed support subset of `maxop.hull_closures`."""
     bn = bd = None
-    for mask in range(1, 1 << len(points)):
-        sel = [p for i, p in enumerate(points) if (mask >> i) & 1]
-        mass = sum(m for i, m in enumerate(masses) if (mask >> i) & 1)
-        mnx, mxx = min(p[0] for p in sel), max(p[0] for p in sel)
-        mny, mxy = min(p[1] for p in sel), max(p[1] for p in sel)
+    for mass, (mnx, mny), (mxx, mxy) in closures:
         ex = np.maximum(mxx, x) - np.minimum(mnx, x) + 1
         ey = np.maximum(mxy, y) - np.minimum(mny, y) + 1
         side = np.maximum(ex, ey)

@@ -16,10 +16,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import maxop, oracle
 from .constants import bound_for_geometry
 from .gridfn import GridFunction, total_variation
 from .lattice import LatticePoint
-from .maxop import BallSpec
+from .maxop import ArgmaxWitness, BallSpec
 from .varanalysis import VariationReport, adaptive_variation, truncated_variation_maxfn
 
 
@@ -176,6 +177,30 @@ def random_gridfn(
             v = -v
         values[p] = v
     return GridFunction(d, values)
+
+
+def oracle_agreement(
+    f: GridFunction, spec: BallSpec, n: LatticePoint
+) -> tuple[ArgmaxWitness, ArgmaxWitness]:
+    """The kernel's witness of Mf at n and the brute-force `oracle` one.
+
+    Each oracle's search reaches past the support as seen from n, so it
+    covers every optimal region; a correct kernel agrees with it in value
+    and region.
+    """
+    fast = maxop.maximal_witness(f, spec, n)
+    reach = max((sum(abs(a - b) for a, b in zip(p, n)) for p in f.support), default=0) + 2
+    if spec.geometry == "centered1d":
+        return fast, oracle.brute_centered_1d(f, n[0], reach)
+    if spec.geometry == "uncentered1d":
+        return fast, oracle.brute_uncentered_1d(f, n[0], reach)
+    if spec.geometry == "l1":
+        return fast, oracle.brute_centered_l1(f, n, reach)
+    bbox = f.support_box()
+    span = 2
+    if bbox is not None:
+        span = max(max(u, c) - min(l, c) + 1 for l, u, c in zip(*bbox, n)) + 1
+    return fast, oracle.brute_uncentered_cube(f, n, span)
 
 
 DEFAULT_RATIOS: tuple[Fraction, ...] = (

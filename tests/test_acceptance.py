@@ -11,18 +11,11 @@ import sys
 import time
 from fractions import Fraction
 
-from maxvar import constants, lattice, oracle
+from maxvar import constants, lattice
 from maxvar.gridfn import GridFunction, line_restriction, total_variation
-from maxvar.maxop import (
-    BallSpec,
-    centered_max_1d,
-    centered_max_l1,
-    evaluate_on_box,
-    uncentered_max_1d,
-    uncentered_max_cube,
-)
+from maxvar.maxop import BallSpec, evaluate_on_box
 from maxvar.varanalysis import delta_variation_closed_form, truncated_variation_maxfn
-from maxvar.verify import random_gridfn, scan_extremizers
+from maxvar.verify import oracle_agreement, random_gridfn, scan_extremizers
 
 Q = Fraction
 
@@ -180,28 +173,7 @@ def test_criterion_09_oracle_equivalence():
         for _ in range(100):
             f = random_gridfn(rng.randint(0, 10**9), d, 6, rng.randint(1, 5))
             n = tuple(rng.randint(-8, 8) for _ in range(d))
-            if geometry == "centered1d":
-                reach = max(abs(p[0] - n[0]) for p in f.support) + 2
-                fast = centered_max_1d(f, n[0])
-                slow = oracle.brute_centered_1d(f, n[0], reach)
-            elif geometry == "uncentered1d":
-                reach = max(abs(p[0] - n[0]) for p in f.support) + 2
-                fast = uncentered_max_1d(f, n[0])
-                slow = oracle.brute_uncentered_1d(f, n[0], reach)
-            elif geometry == "l1":
-                reach = max(
-                    sum(abs(a - b) for a, b in zip(p, n)) for p in f.support
-                ) + 2
-                fast = centered_max_l1(f, n)
-                slow = oracle.brute_centered_l1(f, n, reach)
-            else:
-                bbox = f.support_box()
-                span = max(
-                    max(u, c) - min(l, c) + 1
-                    for l, u, c in zip(bbox[0], bbox[1], n)
-                ) + 1
-                fast = uncentered_max_cube(f, n)
-                slow = oracle.brute_uncentered_cube(f, n, span)
+            fast, slow = oracle_agreement(f, BallSpec(geometry, d), n)
             checked += 1
             if fast.value == slow.value and fast.region == slow.region:
                 agreed += 1

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "maxvar.cli"]
 
 
@@ -176,6 +178,11 @@ class TestVerify:
     def test_missing_flags_exit_2(self):
         assert run_cli("verify").returncode == 2
 
+    def test_negative_oracle_instances_exit_2(self):
+        r = run_cli("verify", "--suite", "oracle", "--instances", "-1")
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+
     def test_l1_on_1d_input_equals_centered1d(self, tmp_path):
         doc = write_doc(
             tmp_path, "f.json", 1,
@@ -208,6 +215,17 @@ class TestScan:
         # first row is the delta
         assert rows[1].split(",")[3] == "1"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--radius", "5", "--box", "3"),
+            ("--radius", "2", "--box", "10", "--terms", "-1"),
+        ],
+    )
+    def test_bad_arguments_exit_2(self, args):
+        r = run_cli("scan", "--geometry", "cube", *args)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
 
     def test_gaps_over_4300_digits_print_in_full(self):
         r = run_cli("scan", "--geometry", "l1", "--radius", "5", "--box", "1000")

@@ -18,10 +18,12 @@ from maxvar.maxop import (
     delta_centered_l1_closed_form,
     delta_uncentered_cube_closed_form,
     evaluate_on_box,
+    hull_closures,
     maximal_witness,
     uncentered_max_1d,
     uncentered_max_cube,
 )
+from maxvar.verify import oracle_agreement
 
 Q = Fraction
 
@@ -234,6 +236,57 @@ class TestOneDimensionalKernels:
             )
 
         check()
+
+
+class TestHullClosures:
+    """`hull_closures` against all 2^s - 1 subsets of supports of up to 10
+    points: one entry per distinct hull box, carrying the largest subset
+    mass for that hull, which is the mass of every support point inside."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_subset_enumeration(self, d):
+        @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+        @given(
+            st.dictionaries(
+                st.tuples(*[st.integers(-3, 3)] * d), st.integers(1, 60), min_size=1, max_size=10
+            )
+        )
+        def check(values):
+            points = tuple(sorted(values))
+            masses = tuple(values[p] for p in points)
+            best: dict = {}
+            for mask in range(1, 1 << len(points)):
+                sel = [p for i, p in enumerate(points) if mask >> i & 1]
+                hull = tuple(map(min, zip(*sel))), tuple(map(max, zip(*sel)))
+                mass = sum(values[p] for p in sel)
+                best[hull] = max(best.get(hull, 0), mass)
+            closures = hull_closures(points, masses)
+            assert len(closures) == len(best)
+            assert {(lo, hi): m for m, lo, hi in closures} == best
+            for m, lo, hi in closures:
+                inside = LatticeBox(lo, hi)
+                assert m == sum(v for p, v in values.items() if inside.contains(p))
+
+        check()
+
+
+class TestCubeWitnessesLargeSupports:
+    """2-D cube witnesses for supports of 9 to `SUBSET_LIMIT` signed points,
+    the closed-subset candidates against the literal box enumeration."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=12)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+            _signed,
+            min_size=9,
+            max_size=SUBSET_LIMIT,
+        ),
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    )
+    def test_matches_box_oracle(self, values, n):
+        fast, slow = oracle_agreement(GridFunction(2, values), BallSpec("cube", 2), n)
+        assert (fast.value, fast.count, fast.region) == (slow.value, slow.count, slow.region)
 
 
 class TestClosedForms:

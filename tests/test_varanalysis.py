@@ -153,6 +153,15 @@ class TestSweepMatchesReference:
 
         check()
 
+    @settings(SWEEP, max_examples=6)
+    @given(_functions(2, 2, 7, 8), st.integers(0, 9))
+    def test_cube_supports_up_to_grid_limit(self, f, extra):
+        spec = BallSpec("cube", 2)
+        R = f.support_radius() + extra
+        assert len(f.support) <= varanalysis._GRID_SUPPORT_LIMIT
+        assert varanalysis._grid_products_fit_int64(f, R)
+        assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
+
     @settings(SWEEP, max_examples=2)
     @given(_functions(2, 2, 9, 10), st.integers(0, 9))
     def test_large_cube_supports_take_exact_evaluator(self, f, extra):
