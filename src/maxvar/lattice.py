@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, Sequence
 
 LatticePoint = tuple[int, ...]
@@ -252,7 +253,7 @@ def admissible_boxes_through(
                 ranges.append(range(a_min, a_max + 1))
             if not feasible:
                 continue
-            for corner in _product(ranges):
+            for corner in product(*ranges):
                 yielded += 1
                 if yielded > cap:
                     raise EnumerationCapExceeded(
@@ -270,16 +271,6 @@ def _count_profiles(d: int, side: int) -> Iterator[tuple[int, ...]]:
         profile = tuple(side if (mask >> i) & 1 else side - 1 for i in range(d))
         if side in profile:
             yield profile
-
-
-def _product(ranges: Sequence[range]) -> Iterator[LatticePoint]:
-    if not ranges:
-        yield ()
-        return
-    head, tail = ranges[0], ranges[1:]
-    for x in head:
-        for rest in _product(tail):
-            yield (x,) + rest
 
 
 def box_realization(lower: LatticePoint, upper: LatticePoint) -> tuple[tuple[Fraction, ...], Fraction]:

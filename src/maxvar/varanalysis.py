@@ -33,20 +33,25 @@ of a line inside [-R, lo] therefore telescope to Mf(lo) - Mf(-R), those
 inside [hi, R] to Mf(hi) - Mf(R), and the line's exact truncated variation
 is that of its compressed sequence at t in {-R} + [lo..hi] + {R}.
 
-Each compressed sequence is reduced to its monotone-run boundaries:
+One driver, `_sweep`, walks the lines of each axis in chunks and asks an
+evaluator for integer arrays (num, den) with Mf = num / (scale * den).  Each
+line is reduced to its monotone-run boundaries:
 sum_t |v(t+1) - v(t)| = sum_t (s_{t-1} - s_t) v(t), with s_t the exact sign
-of v(t+1) - v(t), so only local extrema and line ends reach the exact
-rational sum.
+of v(t+1) - v(t) found by cross-multiplication, so only local extrema and
+line ends contribute; their numerators are summed per denominator and one
+Fraction per distinct denominator reaches the exact rational sum.
 
-Two evaluators produce the compressed values, chosen from the input.  At
-d = 2, for l1 and cube supports of at most `_GRID_SUPPORT_LIMIT` points, a
-vectorised kernel computes every candidate as an integer (numerator,
-denominator) pair and compares them by cross-multiplication in int64, which
-is exact while `_grid_products_fit_int64` holds.  Every other input (d = 1,
-d >= 3, larger cube supports, products that could overflow) evaluates each
-distinct compressed point once through the exact rational kernels of
-`maxop`.  The lemma is a statement about the values of Mf, not about how they
-are computed, so the compression is exact for both evaluators.
+Two evaluators feed the driver, chosen from the input alone.  At d = 2, for
+l1 and cube supports of at most `_GRID_SUPPORT_LIMIT` points, a vectorised
+evaluator forms each candidate of the `maxop` kernels as int64 arrays --
+per support point for l1 (the mass within its distance over the ball count
+at that distance), per closed support subset for cube -- and keeps the best
+by cross-multiplication, which is exact while `_grid_products_fit_int64`
+holds.  Every other input (d = 1, d >= 3, larger supports, products that
+could overflow) takes each distinct point's value from `maxop.maximal_value`
+once, as object arrays of Python ints with scale 1.  The lemma is a
+statement about the values of Mf, not about how they are computed, so the
+compression is exact for both evaluators.
 
 Cost: d (2R+1)^(d-1) lines of at most span + 2 points each, span being the
 support's extent along the line's axis, times the per-point candidate work;
@@ -68,11 +73,12 @@ from .gridfn import GridFunction
 from .lattice import Box, LatticePoint
 from .maxop import BallSpec
 
-#: largest support size routed through the vectorised path; the cube layers
-#: are the closed subsets of `maxop.hull_closures`, at most 2^s - 1 of them
+#: largest support size routed through the vectorised evaluator; the cube
+#: candidates are the closed subsets of `maxop.hull_closures`, at most
+#: 2^s - 1 of them
 _GRID_SUPPORT_LIMIT = 8
 
-#: int64 cells per candidate layer that one vectorised chunk of lines may hold
+#: array cells per candidate that one chunk of lines may hold
 _CHUNK_CELLS = 4_000_000
 
 
@@ -98,8 +104,8 @@ def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fracti
     # per axis: the line ends plus the support's projection, where Mf may turn
     stops = [sorted({-R, R, *range(lo, hi + 1)}) for lo, hi in zip(*f.support_box())]
     if f.dim == 2 and len(f.support) <= _GRID_SUPPORT_LIMIT and _grid_products_fit_int64(f, R):
-        return _sweep_2d(f, spec.centered, R, stops)
-    return _sweep_exact(f, spec, R, stops)
+        return _sweep(*_vectorised_values_2d(f, spec.centered, R), R, stops)
+    return _sweep(_exact_values(f, spec), 1, 1, R, stops)
 
 
 def _grid_products_fit_int64(f: GridFunction, R: int) -> bool:
@@ -119,72 +125,43 @@ def _grid_products_fit_int64(f: GridFunction, R: int) -> bool:
     return max_num * max_den < 2**62
 
 
-def _sweep_exact(
-    f: GridFunction, spec: BallSpec, R: int, stops: list[list[int]]
-) -> Fraction:
-    """Line sweep over exact rational values, one `maxop` call per distinct
-    point; each line is reduced to its run-boundary terms."""
-    values: dict[LatticePoint, Fraction] = {}
-    terms: list[Fraction] = []
-    for axis, ts in enumerate(stops):
-        for rest in product(range(-R, R + 1), repeat=f.dim - 1):
-            line = []
-            for t in ts:
-                point = rest[:axis] + (t,) + rest[axis:]
-                v = values.get(point)
-                if v is None:
-                    v = values[point] = maxop.maximal_value(f, spec, point)
-                line.append(v)
-            signs = [0] + [(b > a) - (b < a) for a, b in zip(line, line[1:])] + [0]
-            terms += [(s - u) * v for s, u, v in zip(signs, signs[1:], line) if s != u]
-    return tree_sum(terms)
+def _sweep(values, width: int, scale: int, R: int, stops: list[list[int]]) -> Fraction:
+    """Line sweep reduced exactly per denominator.
 
-
-# -- vectorised 2-D sweep ----------------------------------------------------
-
-def _sweep_2d(f: GridFunction, centered: bool, R: int, stops: list[list[int]]) -> Fraction:
-    """Line sweep over int64 values, reduced exactly per denominator.
-
-    Lines run along axis 0 (then axis 1) and are evaluated in chunks of
-    rows, one row per line and one column per stop.
+    The lines of each axis are evaluated in chunks, one row per line and
+    one column per stop: `values` maps the d coordinate arrays of a chunk,
+    which broadcast to (lines, stops), to integer arrays (num, den) with
+    Mf = num / (scale * den).  `width` is the number of array cells the
+    evaluator forms per point, which sizes the chunks.
     """
-    masses, scale = f.integer_masses()
-    if centered:
-        layers = len(masses)
-        values = partial(_l1_values_2d, f.support, masses, R)
-    else:
-        closures = maxop.hull_closures(f.support, tuple(masses))
-        layers = len(closures)
-        values = partial(_cube_values_2d, closures)
-    coords = np.arange(-R, R + 1, dtype=np.int64)
+    d = len(stops)
+    lines = (2 * R + 1) ** (d - 1)
+    # the other d - 1 coordinates of every line of an axis, one column per line
+    rests = np.indices((2 * R + 1,) * (d - 1)).reshape(d - 1, lines) - R
     acc: dict[int, int] = {}
     for axis, ts in enumerate(stops):
         t = np.array(ts, dtype=np.int64)[None, :]
-        rows = max(1, _CHUNK_CELLS // (len(ts) * layers))
-        for r0 in range(0, len(coords), rows):
-            c = coords[r0 : r0 + rows, None]
-            x, y = (t, c) if axis == 0 else (c, t)
-            num, den = values(x, y)
-            _add_run_boundaries(num, den, acc)
-    terms = [
-        Fraction(total, dd * scale) for dd, total in sorted(acc.items()) if total
-    ]
-    return tree_sum(terms)
+        rows = max(1, _CHUNK_CELLS // (len(ts) * width))
+        for r0 in range(0, lines, rows):
+            coords = [c[r0 : r0 + rows, None] for c in rests]
+            coords.insert(axis, t)
+            _add_run_boundaries(*values(coords), acc)
+    return tree_sum(Fraction(total, dd * scale) for dd, total in sorted(acc.items()) if total)
 
 
 def _add_run_boundaries(num, den, acc: dict[int, int]) -> None:
     """Add each row's run-boundary terms coef_t * num_t to acc[den_t].
 
-    Row values are num / (scale * den).  The variation of a row is
+    The variation of a row of values v(t) = num_t / (scale * den_t) is
     sum_t coef_t * v(t) with coef_t = s_{t-1} - s_t and s_t the exact sign
     of v(t+1) - v(t), compared by cross-multiplication; coefficients vanish
-    away from monotone-run boundaries.
+    away from monotone-run boundaries.  Works alike on int64 arrays and on
+    object arrays of Python ints.
     """
     if num.shape[1] < 2:
         return
-    cross = num[:, 1:] * den[:, :-1] - num[:, :-1] * den[:, 1:]
-    sign = np.sign(cross)
-    coef = np.zeros(num.shape, dtype=np.int64)
+    sign = np.sign(num[:, 1:] * den[:, :-1] - num[:, :-1] * den[:, 1:])
+    coef = np.zeros(num.shape, dtype=sign.dtype)
     coef[:, 1:] += sign
     coef[:, :-1] -= sign
     ys, xs = np.nonzero(coef)
@@ -194,69 +171,78 @@ def _add_run_boundaries(num, den, acc: dict[int, int]) -> None:
         acc[dd] = acc.get(dd, 0) + c * nn
 
 
-def _l1_values_2d(points: tuple[LatticePoint, ...], masses: list[int], R: int, x, y):
-    """Cross-polytope Mf at the points (x, y) as int64 arrays (num, den).
+def _exact_values(f: GridFunction, spec: BallSpec):
+    """Evaluator of exact values: object arrays of the numerators and
+    denominators of `maxop.maximal_value`, once per distinct point."""
+    cache: dict[LatticePoint, tuple[int, int]] = {}
 
-    `masses` are the support's |values| times their common denominator
-    `scale`, and Mf = num / (scale * den).  x and y are int64 coordinate
-    arrays with entries in [-R, R] that broadcast to the result's shape.
+    def value(point: LatticePoint) -> tuple[int, int]:
+        pair = cache.get(point)
+        if pair is None:
+            v = maxop.maximal_value(f, spec, point)
+            pair = cache[point] = (v.numerator, v.denominator)
+        return pair
+
+    def values(coords):
+        grids = np.broadcast_arrays(*coords)
+        points = zip(*(g.ravel().tolist() for g in grids))
+        pairs = np.array([value(p) for p in points], dtype=object)
+        pairs = pairs.reshape(*grids[0].shape, 2)
+        return pairs[..., 0], pairs[..., 1]
+
+    return values
+
+
+# -- vectorised 2-D evaluator -------------------------------------------------
+
+def _vectorised_values_2d(f: GridFunction, centered: bool, R: int):
+    """Evaluator of int64 values at d = 2, with its width and scale.
+
+    Each candidate generator yields integer (num, den) pairs, arrays or
+    scalars that broadcast to the shape of the points (x, y); Mf is the
+    largest num / (scale * den) over them.  The shell table is built once
+    per sweep.
     """
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    k_max = max(abs(p[0]) + abs(p[1]) for p in points) + 2 * R
-    ntab = np.array(lattice.ShellTable.build(2, k_max).counts, dtype=np.int64)
-    layers = len(points)
-    d1 = np.abs(x - points[0][0]) + np.abs(y - points[0][1])
-    if layers == 1:
-        return np.full(shape, masses[0], dtype=np.int64), ntab[d1]
-    if layers == 2:
-        d2 = np.abs(x - points[1][0]) + np.abs(y - points[1][1])
-        first_near = d1 <= d2
-        near = np.where(first_near, d1, d2)
-        far = np.where(first_near, d2, d1)
-        m_near = np.where(first_near, masses[0], masses[1])
-        n_near = ntab[near]
-        n_far = ntab[far]
-        total = masses[0] + masses[1]
-        # best of (m_near / N(near), total / N(far)), ties to either
-        take_far = total * n_near > m_near * n_far
-        num = np.where(take_far, total, m_near)
-        den = np.where(take_far, n_far, n_near)
-        return num, den
-    mass_arr = np.array(masses, dtype=np.int64)
-    dist = np.stack(
-        [np.broadcast_to(np.abs(x - p[0]) + np.abs(y - p[1]), shape) for p in points]
-    )
-    order = np.argsort(dist, axis=0, kind="stable")
-    dsort = np.take_along_axis(dist, order, axis=0)
-    cum = np.cumsum(mass_arr[order], axis=0)
-    dens = ntab[dsort]
-    bn = cum[0].copy()
-    bd = dens[0].copy()
-    for i in range(1, layers):
-        better = cum[i] * bd > bn * dens[i]
-        np.copyto(bn, cum[i], where=better)
-        np.copyto(bd, dens[i], where=better)
-    return bn, bd
+    masses, scale = f.integer_masses()
+    if centered:
+        k_max = max(abs(x) + abs(y) for x, y in f.support) + 2 * R
+        ntab = np.array(lattice.ShellTable.build(2, k_max).counts, dtype=np.int64)
+        candidates = partial(_l1_candidates_2d, f.support, masses, ntab)
+        width = len(masses)
+    else:
+        closures = maxop.hull_closures(f.support, tuple(masses))
+        candidates = partial(_cube_candidates_2d, closures)
+        width = len(closures)
+    return (lambda coords: _best(candidates(*coords))), width, scale
 
 
-def _cube_values_2d(closures, x, y):
-    """Cube Mf at the points (x, y) as int64 arrays (num, den), as in
-    `_l1_values_2d`: the best minimal admissible-box count around the hull
-    of (x, y) and each closed support subset of `maxop.hull_closures`."""
-    bn = bd = None
+def _best(candidates):
+    """Largest of the (num, den) candidates by cross-multiplication."""
+    bn, bd = next(candidates)
+    for n, d in candidates:
+        better = n * bd > bn * d
+        bn = np.where(better, n, bn)
+        bd = np.where(better, d, bd)
+    return np.broadcast_to(bn, bd.shape), bd
+
+
+def _l1_candidates_2d(points, masses: list[int], ntab, x, y):
+    """Per support point p: the mass within |(x, y) - p|_1 of (x, y) over
+    N(2, |(x, y) - p|_1), the radii `maxop.centered_max_l1` scans; `ntab`
+    holds N(2, k) for every reachable k."""
+    dists = [np.abs(x - px) + np.abs(y - py) for px, py in points]
+    for dj in dists:
+        yield sum(m * (di <= dj) for m, di in zip(masses, dists)), ntab[dj]
+
+
+def _cube_candidates_2d(closures, x, y):
+    """Per closed support subset S of `maxop.hull_closures`: its mass over
+    the least count of an admissible box around the hull of S and (x, y)."""
     for mass, (mnx, mny), (mxx, mxy) in closures:
         ex = np.maximum(mxx, x) - np.minimum(mnx, x) + 1
         ey = np.maximum(mxy, y) - np.minimum(mny, y) + 1
-        side = np.maximum(ex, ey)
-        q = np.maximum(ex, side - 1) * np.maximum(ey, side - 1)
-        if bn is None:
-            bn = np.full(q.shape, mass, dtype=np.int64)
-            bd = q
-        else:
-            better = mass * bd > bn * q
-            np.copyto(bn, np.int64(mass), where=better)
-            bd = np.where(better, q, bd)
-    return bn, bd
+        short = np.maximum(ex, ey) - 1
+        yield mass, np.maximum(ex, short) * np.maximum(ey, short)
 
 
 # ---------------------------------------------------------------------------

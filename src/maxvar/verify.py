@@ -243,25 +243,23 @@ def scan_extremizers(
     spec: BallSpec,
     max_distance: int,
     R: int,
-    epsilon: Fraction | int | str = Fraction(1, 10**9),
     ratios: tuple[Fraction, ...] = DEFAULT_RATIOS,
-    include_delta: bool = True,
     terms: int = 1000,
 ) -> list[SharpnessRecord]:
-    """Sweep the two-point family {0 -> 1, q -> ratio} plus the delta.
+    """Sweep the delta plus the two-point family {0 -> 1, q -> ratio}.
 
-    Every instance is truncated at radius R exactly: a shared truncation
-    makes gaps comparable across the family, so `epsilon` (kept for parity
-    with the adaptive runs) plays no role here.  Records come back sorted
-    by (gap, support), so delta rows lead when the family is consistent
-    with delta-only extremality.
+    Every instance is truncated at radius R exactly, so gaps are comparable
+    across the family.  Records come back sorted by (gap, support), so delta
+    rows lead when the family is consistent with delta-only extremality.
+    At max_distance 0 the family is the delta alone.
     """
+    if max_distance < 0:
+        raise ValueError("the family distance must be >= 0")
     if R < max_distance:
         raise ValueError("R must cover the family diameter")
     bound = bound_for_geometry(spec.geometry, spec.dim, terms).upper
     origin = (0,) * spec.dim
-    family = [GridFunction.delta(origin)] if include_delta else []
-    family += [
+    family = [GridFunction.delta(origin)] + [
         GridFunction(spec.dim, {origin: Fraction(1), q: ratio})
         for q in two_point_shapes(spec, max_distance)
         for ratio in ratios

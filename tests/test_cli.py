@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -220,12 +221,18 @@ class TestScan:
         [
             ("--radius", "5", "--box", "3"),
             ("--radius", "2", "--box", "10", "--terms", "-1"),
+            ("--radius", "-1", "--box", "10"),
         ],
     )
     def test_bad_arguments_exit_2(self, args):
         r = run_cli("scan", "--geometry", "cube", *args)
         assert r.returncode == 2 and r.stdout == ""
         assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+
+    def test_radius_zero_prints_the_delta_row(self):
+        r = run_cli("scan", "--geometry", "cube", "--radius", "0", "--box", "10")
+        assert r.returncode == 0
+        assert r.stdout.splitlines()[1:] == ['cube,"0,0",1,1,1,10,6362/605,12,898/605']
 
     def test_gaps_over_4300_digits_print_in_full(self):
         r = run_cli("scan", "--geometry", "l1", "--radius", "5", "--box", "1000")
@@ -288,3 +295,29 @@ class TestDeterminism:
             assert run_cli("maxfn", "--input", doc, "--geometry", "l1", "--box", "4", "--output", out).returncode == 0
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
+
+
+class TestGoldenOutputs:
+    """sha256 of the raw stdout bytes of fixed commands: a refactor of the
+    operators or of the variation code must leave every byte as it is."""
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (("scan", "--geometry", "centered1d", "--radius", "3", "--box", "128"),
+             "f3a50ef6cc0e00bd00e23dcb1fe5542b35a1263ec5d660c837baa65bf083e432"),
+            (("scan", "--geometry", "uncentered1d", "--radius", "3", "--box", "128"),
+             "f587cea3eb5393468632efc50bc62f8dcfe6aa57673e1eaa826a10183d2919d9"),
+            (("scan", "--geometry", "l1", "--radius", "3", "--box", "128"),
+             "b123c6372b779c6cd7065e946034916226fb5be44c09908e5f555caff29f9aac"),
+            (("scan", "--geometry", "cube", "--radius", "3", "--box", "128"),
+             "40da68c190c4debb10efe0c43cf78eff3ff607905e2e638990095de6287774e8"),
+            (("verify", "--suite", "sharpness"),
+             "d205fb13b7de76a348f26331f9af1bf6ae32bd6423a0704b1b1593884078f4fb"),
+        ],
+        ids=["scan-centered1d", "scan-uncentered1d", "scan-l1", "scan-cube", "sharpness"],
+    )
+    def test_stdout_digest(self, args, digest):
+        r = subprocess.run(CLI + list(args), capture_output=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        assert hashlib.sha256(r.stdout).hexdigest() == digest

@@ -162,6 +162,32 @@ class TestSweepMatchesReference:
         assert varanalysis._grid_products_fit_int64(f, R)
         assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
 
+    @settings(SWEEP, max_examples=6)
+    @given(_functions(2, 2, 7, 8), st.integers(0, 9))
+    def test_l1_supports_up_to_grid_limit(self, f, extra):
+        spec = BallSpec("l1", 2)
+        R = f.support_radius() + extra
+        assert len(f.support) <= varanalysis._GRID_SUPPORT_LIMIT
+        assert varanalysis._grid_products_fit_int64(f, R)
+        assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {(1, 0): Q(1), (-1, 0): Q(2), (0, 1): Q(-3, 2), (0, -1): Q(1, 3)},
+            {(0, 0): Q(1), (2, 0): Q(-1, 2), (1, 1): Q(3)},
+        ],
+        ids=["diamond", "triangle"],
+    )
+    def test_l1_tied_distances(self, values):
+        # several support points at the same distance from many query
+        # points: each radius must count every one of them
+        f = GridFunction(2, values)
+        spec = BallSpec("l1", 2)
+        for R in (f.support_radius(), f.support_radius() + 3):
+            assert varanalysis._grid_products_fit_int64(f, R)
+            assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
+
     @settings(SWEEP, max_examples=2)
     @given(_functions(2, 2, 9, 10), st.integers(0, 9))
     def test_large_cube_supports_take_exact_evaluator(self, f, extra):
