@@ -181,6 +181,11 @@ def cmd_constant(args: argparse.Namespace) -> int:
         )
     if d < 1:
         raise CliError("--dim must be >= 1", EXIT_USAGE)
+    if args.digits < 0:
+        raise CliError("--digits must be >= 0", EXIT_USAGE)
+    cap = _enum_cap()
+    if args.terms > cap:
+        raise CliError(f"--terms {args.terms} exceeds the cap {cap} on summed terms", EXIT_CAP)
     try:
         enc = constants.constant_enclosure(d, args.terms, kind)
     except ValueError as exc:

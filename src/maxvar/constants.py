@@ -17,9 +17,17 @@ The sharp 1-D bound for the centered interval operator is the standalone
 constant 2 (`ONE_DIM_CENTERED_SHARP`); it is not the d = 1 case of C(d),
 which is undefined.
 
-Partial sums are exact rationals.  Enclosures add a certified tail bound:
-for each (d, kind) the term t_k is a fixed rational function of k, and we
-certify a majorant
+For each (d, kind) the term t_k is a fixed rational function of k,
+num(k) / den(k) with integer-coefficient polynomials (`_term_polynomials`).
+Partial sums evaluate those polynomials at every k and add the quotients as
+exact rationals.  This is exact for every k >= 1, not only where it is
+checked: the centered num and den are Ehrhart polynomials, pinned down by
+the interpolation check described below, and the uncentered quotient equals
+the defining expression by an algebraic identity in (a + b) and b.
+`centered_term` and `uncentered_term` stay the reference definitions that
+the polynomials are checked against at k = 1..40.
+
+Enclosures add a certified tail bound: we certify a majorant
 
     t_k <= c / (k (k+1))        for all k >= k0,
 
@@ -38,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from . import lattice
 from .exact import tree_sum
@@ -84,8 +93,7 @@ def centered_constant_partial(d: int, K: int) -> Fraction:
         )
     if K < 0:
         raise ValueError("K must be >= 0")
-    lattice.l1_ball_count(d, max(K, 1))  # warm the memo in one pass
-    return 2 * d + tree_sum(centered_term(d, k) for k in range(1, K + 1))
+    return _partial_sum(d, K, "centered")
 
 
 def uncentered_constant_partial(d: int, K: int) -> Fraction:
@@ -94,14 +102,23 @@ def uncentered_constant_partial(d: int, K: int) -> Fraction:
         raise ValueError("d must be >= 1")
     if K < 0:
         raise ValueError("K must be >= 0")
-    return 2 * d + tree_sum(uncentered_term(d, k) for k in range(1, K + 1))
+    return _partial_sum(d, K, "uncentered")
+
+
+def _partial_sum(d: int, K: int, kind: str) -> Fraction:
+    """2d + sum_{k=1}^{K} num(k) / den(k), from the integer term polynomials."""
+    num, den = _term_polynomials(d, kind)
+    return 2 * d + tree_sum(
+        Fraction(_peval(num, k), _peval(den, k)) for k in range(1, K + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers (coefficient lists, ascending powers, Fraction entries)
+# Polynomial helpers (coefficient tuples, ascending powers, int or Fraction
+# entries; integer inputs give integer outputs)
 # ---------------------------------------------------------------------------
 
-Poly = tuple[Fraction, ...]
+Poly = tuple[int | Fraction, ...]
 
 
 def _padd(a: Poly, b: Poly) -> Poly:
@@ -115,12 +132,12 @@ def _pneg(a: Poly) -> Poly:
     return tuple(-c for c in a)
 
 
-def _pscale(a: Poly, s: Fraction) -> Poly:
+def _pscale(a: Poly, s: int | Fraction) -> Poly:
     return tuple(c * s for c in a)
 
 
 def _pmul(a: Poly, b: Poly) -> Poly:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if not ca:
             continue
@@ -130,14 +147,14 @@ def _pmul(a: Poly, b: Poly) -> Poly:
 
 
 def _ppow(a: Poly, n: int) -> Poly:
-    out: Poly = (Fraction(1),)
+    out: Poly = (1,)
     for _ in range(n):
         out = _pmul(out, a)
     return out
 
 
-def _peval(a: Poly, x: Fraction | int) -> Fraction:
-    acc = Fraction(0)
+def _peval(a: Poly, x: int | Fraction) -> int | Fraction:
+    acc = 0
     for c in reversed(a):
         acc = acc * x + c
     return acc
@@ -147,7 +164,7 @@ def _pshift(a: Poly, h: int) -> Poly:
     """Coefficients of a(h + t) as a polynomial in t."""
     out: Poly = ()
     for c in reversed(a):
-        out = _padd(_pmul(out, (Fraction(h), Fraction(1))), (c,))
+        out = _padd(_pmul(out, (h, 1)), (c,))
     return out
 
 
@@ -162,7 +179,7 @@ def _ptrim(a: Poly) -> Poly:
 def _count_poly(d: int) -> Poly:
     """The degree-d polynomial with p(k) = N(d, k) for all integers k >= 0."""
     if d == 0:
-        return (Fraction(1),)
+        return (1,)
     xs = list(range(d + 1))
     ys = [lattice.l1_ball_count(d, x) for x in xs]
     poly: Poly = (Fraction(0),)
@@ -179,23 +196,36 @@ def _count_poly(d: int) -> Poly:
     return _ptrim(poly)
 
 
+@cache
 def _term_polynomials(d: int, kind: str) -> tuple[Poly, Poly]:
-    """(num, den) with term_k = num(k) / den(k) for k >= 1, both integer-coefficient."""
-    x: Poly = (Fraction(0), Fraction(1))
+    """(num, den) with term_k = num(k) / den(k) for k >= 1, both with int coefficients.
+
+    Partial sums evaluate these polynomials, so they must give the term
+    exactly at every k >= 1, not only at the k = 1..40 checked here.
+    Centered: num = 2d * (N(d-1, k) - N(d-1, k-1)) and den = N(d, k) are
+    Ehrhart polynomials, pinned down by `_count_poly`'s d + 41-point
+    interpolation check; clearing their denominators with one common lcm
+    leaves the quotient unchanged.  Uncentered: with a + b = top / (k(k+1))
+    and b = bot / (k(k+1)), the term (2d/k)((a + b)^(d-1) - b^(d-1)) equals
+    2d (top^(d-1) - bot^(d-1)) / (k^d (k+1)^(d-1)) as an algebraic identity.
+    """
+    x: Poly = (0, 1)
     if kind == "centered":
         shell = _padd(_count_poly(d - 1), _pneg(_pshift(_count_poly(d - 1), -1)))
-        num = _pscale(shell, Fraction(2 * d))
+        num = _pscale(shell, 2 * d)
         den = _count_poly(d)
+        scale = lcm(*(c.denominator for c in num + den))
+        num, den = (tuple(int(c * scale) for c in p) for p in (num, den))
     else:
         # a + b = (2k^2 + 3k - 1) / (k(k+1)), b = (2k^2 + k - 1) / (k(k+1))
-        top = (Fraction(-1), Fraction(3), Fraction(2))
-        bot = (Fraction(-1), Fraction(1), Fraction(2))
-        num = _pscale(_padd(_ppow(top, d - 1), _pneg(_ppow(bot, d - 1))), Fraction(2 * d))
-        den = _pmul(_ppow(x, d), _ppow(_padd(x, (Fraction(1),)), d - 1))
+        top = (-1, 3, 2)
+        bot = (-1, 1, 2)
+        num = _pscale(_padd(_ppow(top, d - 1), _pneg(_ppow(bot, d - 1))), 2 * d)
+        den = _pmul(_ppow(x, d), _ppow(_padd(x, (1,)), d - 1))
     num, den = _ptrim(num), _ptrim(den)
     term = centered_term if kind == "centered" else uncentered_term
     for k in range(1, 41):
-        if _peval(num, k) / _peval(den, k) != term(d, k):
+        if Fraction(_peval(num, k), _peval(den, k)) != term(d, k):
             raise AssertionError(
                 f"term polynomial mismatch at d={d}, kind={kind}, k={k}"
             )
@@ -239,7 +269,7 @@ def tail_majorant(d: int, kind: str) -> TailMajorant:
             1, "uncentered", Fraction(0), 0, "all series terms vanish for d = 1"
         )
     num, den = _term_polynomials(d, kind)
-    kk1 = _pmul(num, (Fraction(0), Fraction(1), Fraction(1)))  # k(k+1) * num
+    kk1 = _pmul(num, (0, 1, 1))  # k(k+1) * num
     scan = max(
         (Fraction(_peval(kk1, k), _peval(den, k)) for k in range(1, 513)),
         default=Fraction(0),

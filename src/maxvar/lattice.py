@@ -189,13 +189,14 @@ def check_gap_monotonicity(d: int, k_max: int) -> list[tuple[int, Fraction, Frac
     if d < 1 or k_max < 0:
         raise ValueError("need d >= 1 and k_max >= 0")
     table = ShellTable.build(d, k_max + 2)
-    bad = []
-    for k in range(0, k_max + 1):
-        g0 = table.gap(k)
-        g1 = table.gap(k + 1)
-        if not g0 > g1:
-            bad.append((k, g0, g1))
-    return bad
+    n = table.counts
+    # with a, b, c = N(k), N(k+1), N(k+2) > 0, multiplying the gap
+    # inequality by abc gives b (a + c) > 2ac; gaps are formed only on failure
+    return [
+        (k, table.gap(k), table.gap(k + 1))
+        for k in range(0, k_max + 1)
+        if not n[k + 1] * (n[k] + n[k + 2]) > 2 * n[k] * n[k + 2]
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,24 @@ class TestConstant:
     def test_centered_dim1_exit_2(self):
         assert run_cli("constant", "--kind", "centered", "--dim", "1", "--terms", "5").returncode == 2
 
+    def test_negative_digits_exit_2(self):
+        r = run_cli("constant", "--kind", "centered", "--dim", "2", "--terms", "10", "--digits", "-1")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == ["error: --digits must be >= 0"]
+
+    @pytest.mark.parametrize("terms, code", [("101", 3), ("100", 0)])
+    def test_terms_checked_against_enum_cap(self, terms, code):
+        r = run_cli(
+            "constant", "--kind", "centered", "--dim", "2", "--terms", terms,
+            env_extra={"MAXVAR_ENUM_CAP": "100"},
+        )
+        assert r.returncode == code
+        if code:
+            assert r.stdout == ""
+            assert len(r.stderr.splitlines()) == 1
+            assert r.stderr.startswith("error: ")
+
 
 class TestVerify:
     def test_suite_lemmas_passes(self):
@@ -321,3 +339,45 @@ class TestGoldenOutputs:
         r = subprocess.run(CLI + list(args), capture_output=True, timeout=300)
         assert r.returncode == 0, r.stderr
         assert hashlib.sha256(r.stdout).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "kind, dim, stdout_digest, stderr_digest",
+        [
+            ("centered", 2,
+             "3c226dc6480a0055280a24a2ccce17532e7c4ba0d16c32131ede6f9d89fd473f",
+             "59eb437ca39f0038798a553916e626aacbaa789fb2a9cace797b4265a6ba443e"),
+            ("centered", 3,
+             "8f9fa9204eb9de178dd3f0f7880fa1a0f3bf5d87d21fdf9405a2877aa61b0f32",
+             "c97f550dfcc5e71723a3798db794906cf9ddb2e4a9d67998191e91661c13c80f"),
+            ("centered", 4,
+             "9c1178fd15c4d052c35136f0462de9163b364155149c788a67d2e4f9b71e3011",
+             "f37dc7095b352427b97b218bd902dbf6660292dbc2b5d650c0a9b5e4b11254fb"),
+            ("centered", 5,
+             "72735f9a0d3931ccf559b52c08fa21acf5410acb2f884b43bcc4a713cff505aa",
+             "7d2d1100c0c352af0cf0a1af6b97e5cac7c4863b5e33e82c426f0a945aff7925"),
+            ("centered", 6,
+             "57ad67ac2cbf451e033f9dd2574f79d35029136109a7419526ee3e71700cbdf3",
+             "7fe53041b8dfa2c72a634426dffa9b6b20fc98938ce3e0bcd324c9fd7b093a77"),
+            ("uncentered", 2,
+             "7e4a769f9ecbd51b2c564971a27ef0c412a05b136370411db27af0e2f6b91137",
+             "89b41f5db687204927e23e9fecb7a864959c4cd77955a6764cbe2ccd7bed3004"),
+            ("uncentered", 3,
+             "2c2e0624a82cda6008bb9d4bd34b04bc165159680879b4510e7799d0544e08a7",
+             "f37dc7095b352427b97b218bd902dbf6660292dbc2b5d650c0a9b5e4b11254fb"),
+            ("uncentered", 4,
+             "e1a22372a5520cb0d78ab7fd585ff4d949d2e9d7f6912e6aa9e5fabf3faea3bc",
+             "8b1835316fdd8f0dbd7d2f5aa827d96861a330c8047bc0c2d51f71c69ce7008e"),
+            ("uncentered", 5,
+             "de6722400e4827b8310168905a236bb6eec3cf1f20f595e78194a9310e727e41",
+             "cb437154a7d31662f3dbe69541ab31ee67f7b23e35281c5cd3f9b357aa92833a"),
+            ("uncentered", 6,
+             "1ababdbee4509395ceb7b342dac8636c08882e9aebd5cd60d227eb5a27a6b427",
+             "601efb63d187dad4db96f9bb84f249f15b5852d7b9673ba80be78d0af1ca8898"),
+        ],
+    )
+    def test_constant_digests(self, kind, dim, stdout_digest, stderr_digest):
+        args = ("constant", "--kind", kind, "--dim", str(dim), "--terms", "1500")
+        r = subprocess.run(CLI + list(args), capture_output=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        assert hashlib.sha256(r.stdout).hexdigest() == stdout_digest
+        assert hashlib.sha256(r.stderr).hexdigest() == stderr_digest

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxvar.constants import (
     ONE_DIM_CENTERED_SHARP,
@@ -12,7 +13,9 @@ from maxvar.constants import (
     tail_majorant,
     uncentered_constant_partial,
     uncentered_term,
+    _term_polynomials,
 )
+from maxvar.exact import tree_sum
 
 Q = Fraction
 
@@ -57,6 +60,28 @@ class TestPartialSums:
             if prev_c is not None:
                 assert c > prev_c and u > prev_u
             prev_c, prev_u = c, u
+
+
+class TestTermPolynomials:
+    @pytest.mark.parametrize("kind", ["centered", "uncentered"])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_coefficients_are_ints(self, d, kind):
+        num, den = _term_polynomials(d, kind)
+        assert num and den
+        assert all(type(c) is int for c in num + den)
+
+    @pytest.mark.parametrize(
+        "kind, d",
+        [("centered", d) for d in range(2, 9)] + [("uncentered", d) for d in range(1, 9)],
+    )
+    @settings(derandomize=True, database=None, deadline=None, max_examples=10)
+    @given(K=st.integers(0, 400))
+    def test_partial_sums_equal_the_reference_terms(self, kind, d, K):
+        if kind == "centered":
+            partial, term = centered_constant_partial, centered_term
+        else:
+            partial, term = uncentered_constant_partial, uncentered_term
+        assert partial(d, K) == 2 * d + tree_sum(term(d, k) for k in range(1, K + 1))
 
 
 class TestTailMajorants:

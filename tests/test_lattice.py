@@ -132,6 +132,18 @@ class TestGapMonotonicity:
     def test_medium_run(self):
         assert check_gap_monotonicity(4, 60) == []
 
+    def test_doctored_table_reports_the_fraction_gaps(self, monkeypatch):
+        # not a lattice count: the gaps tie at k = 1 (3 is the harmonic
+        # mean of 2 and 6) and grow at k = 4
+        counts = (1, 2, 3, 6, 7, 8, 70, 71)
+        monkeypatch.setattr(
+            ShellTable, "build", classmethod(lambda cls, d, k: cls(d, counts[: k + 1]))
+        )
+        gap = lambda k: Fraction(1, counts[k]) - Fraction(1, counts[k + 1])
+        expected = [(k, gap(k), gap(k + 1)) for k in range(6) if not gap(k) > gap(k + 1)]
+        assert [k for k, _, _ in expected] == [1, 4]
+        assert check_gap_monotonicity(1, 5) == expected
+
 
 class TestAdmissibleBoxes:
     def test_single_point_support(self):
