@@ -108,9 +108,7 @@ def uncentered_constant_partial(d: int, K: int) -> Fraction:
 def _partial_sum(d: int, K: int, kind: str) -> Fraction:
     """2d + sum_{k=1}^{K} num(k) / den(k), from the integer term polynomials."""
     num, den = _term_polynomials(d, kind)
-    return 2 * d + tree_sum(
-        Fraction(_peval(num, k), _peval(den, k)) for k in range(1, K + 1)
-    )
+    return 2 * d + tree_sum((_peval(num, k), _peval(den, k)) for k in range(1, K + 1))
 
 
 # ---------------------------------------------------------------------------

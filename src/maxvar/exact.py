@@ -2,27 +2,38 @@
 
 from __future__ import annotations
 
+import decimal
 from fractions import Fraction
+from functools import cache
+from math import gcd
 from typing import Iterable
 
 
-def tree_sum(terms: Iterable[Fraction]) -> Fraction:
-    """Exact sum by pairwise reduction.
+def tree_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of the rationals n / d given as integer pairs (n, d), d > 0.
 
-    Summing thousands of rationals with pairwise-coprime denominators left
-    to right makes every step renormalise against the full accumulated
-    denominator; balanced reduction keeps the intermediate operands small
-    until the top of the tree.
+    Balanced pairwise reduction on integers: each node joins its children
+    a/b and c/d over the lcm of their denominators, with g = gcd(b, d), as
+    (a (d/g) + c (b/g)) / (b (d/g)).  Summing thousands of rationals with
+    pairwise-coprime denominators left to right would make every step work
+    against the full accumulated denominator; the tree keeps the operands
+    small until its top.  No numerator gcd is taken and no Fraction is
+    built along the way: one Fraction, normalised once, is formed at the
+    root.  Callers holding Fractions pass `q.as_integer_ratio()`.
     """
-    items = list(terms)
+    items = list(pairs)
     if not items:
         return Fraction(0)
     while len(items) > 1:
-        nxt = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
+        nxt = []
+        for (a, b), (c, d) in zip(items[::2], items[1::2]):
+            g = gcd(b, d)
+            d //= g
+            nxt.append((a * d + c * (b // g), b * d))
         if len(items) % 2:
             nxt.append(items[-1])
         items = nxt
-    return items[0]
+    return Fraction(*items[0])
 
 
 def decimal_str(q: Fraction, digits: int = 12) -> str:
@@ -64,12 +75,36 @@ def format_rational(q: Fraction) -> str:
     return sign + num if q.denominator == 1 else f"{sign}{num}/{_digits(q.denominator)}"
 
 
-def _digits(n: int) -> str:
-    """Decimal digits of n >= 0, split in halves while `str` refuses them."""
-    try:
-        return str(n)
-    except ValueError:
-        k = n.bit_length() * 3 // 20  # about half the digit count
-        hi, lo = divmod(n, 10**k)
-        return _digits(hi) + _digits(lo).zfill(k)
+#: below this many bits `str` is fast and within every allowed digit limit
+_STR_BITS = 2048
 
+
+def _digits(n: int) -> str:
+    """Decimal digits of n >= 0 in time subquadratic in its length.
+
+    Large n are split in binary halves, n = hi * 2^w + lo, converted to
+    `decimal.Decimal` and recombined there, where multiplication is
+    subquadratic; the context holds every digit and traps Inexact, so the
+    result is exact or raises.
+    """
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+
+    @cache
+    def pow2(w: int) -> decimal.Decimal:
+        if w <= _STR_BITS:
+            return decimal.Decimal(1 << w)
+        return pow2(w >> 1) * pow2(w - (w >> 1))
+
+    def convert(n: int, w: int) -> decimal.Decimal:
+        if w <= _STR_BITS:
+            return decimal.Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        return convert(hi, w - half) * pow2(half) + convert(n - (hi << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(convert(n, n.bit_length()))

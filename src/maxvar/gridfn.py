@@ -89,7 +89,7 @@ class GridFunction:
     # -- derived quantities -------------------------------------------------
 
     def l1_norm(self) -> Fraction:
-        return tree_sum(abs(v) for v in self._values.values())
+        return tree_sum(abs(v).as_integer_ratio() for v in self._values.values())
 
     def is_delta(self) -> bool:
         return len(self._support) == 1
@@ -152,7 +152,7 @@ def lp_norm(f: GridFunction, p: float | Fraction) -> Fraction | float:
         return f.l1_norm()
     if p_frac.denominator == 1:
         power = int(p_frac)
-        total = tree_sum(abs(v) ** power for _, v in f.items())
+        total = tree_sum((abs(v) ** power).as_integer_ratio() for _, v in f.items())
         root = _exact_root(total, power)
         if root is not None:
             return root
@@ -199,7 +199,7 @@ def total_variation(f: GridFunction) -> Fraction:
     support contribute.
     """
     d = f.dim
-    terms: list[Fraction] = []
+    terms: list[tuple[int, int]] = []
     seen: set[tuple[LatticePoint, int]] = set()
     for p, _ in f.items():
         for i in range(d):
@@ -211,7 +211,7 @@ def total_variation(f: GridFunction) -> Fraction:
                 nb = tuple(c + (1 if j == i else 0) for j, c in enumerate(base))
                 diff = abs(f[nb] - f[base])
                 if diff:
-                    terms.append(diff)
+                    terms.append(diff.as_integer_ratio())
     return tree_sum(terms)
 
 
@@ -337,8 +337,11 @@ def string_decomposition(
         if right is not None:
             variation_terms.append(abs(runs[idx + 1][0] - lvl))
 
-    variation = tree_sum(variation_terms)
-    pairing = 2 * (tree_sum(max_lvls) - tree_sum(min_lvls))
+    variation = tree_sum(q.as_integer_ratio() for q in variation_terms)
+    pairing = 2 * (
+        tree_sum(q.as_integer_ratio() for q in max_lvls)
+        - tree_sum(q.as_integer_ratio() for q in min_lvls)
+    )
     return StringDecomposition(
         tuple(maxima),
         tuple(minima),

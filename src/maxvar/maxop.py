@@ -157,7 +157,7 @@ def average(f: GridFunction, region: Region) -> Fraction:
     count = region.count()
     if count < 1:
         raise ValueError("averaging set must contain at least one lattice point")
-    mass = tree_sum(abs(v) for p, v in f.items() if region.contains(p))
+    mass = tree_sum(abs(v).as_integer_ratio() for p, v in f.items() if region.contains(p))
     return mass / count
 
 

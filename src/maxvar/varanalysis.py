@@ -38,8 +38,11 @@ evaluator for integer arrays (num, den) with Mf = num / (scale * den).  Each
 line is reduced to its monotone-run boundaries:
 sum_t |v(t+1) - v(t)| = sum_t (s_{t-1} - s_t) v(t), with s_t the exact sign
 of v(t+1) - v(t) found by cross-multiplication, so only local extrema and
-line ends contribute; their numerators are summed per denominator and one
-Fraction per distinct denominator reaches the exact rational sum.
+line ends contribute.  Per chunk, the nonzero terms are sorted by
+denominator and totalled per denominator with one grouped integer reduction
+(`np.add.reduceat` over Python ints), and the running totals are updated
+once per distinct denominator; at the end one integer pair (total, scale *
+den) per distinct denominator reaches `exact.tree_sum`, the lcm pair tree.
 
 Two evaluators feed the driver, chosen from the input alone.  At d = 2, for
 l1 and cube supports of at most `_GRID_SUPPORT_LIMIT` points, a vectorised
@@ -146,7 +149,7 @@ def _sweep(values, width: int, scale: int, R: int, stops: list[list[int]]) -> Fr
             coords = [c[r0 : r0 + rows, None] for c in rests]
             coords.insert(axis, t)
             _add_run_boundaries(*values(coords), acc)
-    return tree_sum(Fraction(total, dd * scale) for dd, total in sorted(acc.items()) if total)
+    return tree_sum((total, dd * scale) for dd, total in sorted(acc.items()) if total)
 
 
 def _add_run_boundaries(num, den, acc: dict[int, int]) -> None:
@@ -155,8 +158,11 @@ def _add_run_boundaries(num, den, acc: dict[int, int]) -> None:
     The variation of a row of values v(t) = num_t / (scale * den_t) is
     sum_t coef_t * v(t) with coef_t = s_{t-1} - s_t and s_t the exact sign
     of v(t+1) - v(t), compared by cross-multiplication; coefficients vanish
-    away from monotone-run boundaries.  Works alike on int64 arrays and on
-    object arrays of Python ints.
+    away from monotone-run boundaries.  The nonzero terms are sorted by
+    denominator and totalled per denominator as Python ints, so acc is
+    updated once per distinct denominator.  Works alike on int64 arrays,
+    where |coef_t * num_t| <= 2 max(num) cannot overflow while
+    `_grid_products_fit_int64` holds, and on object arrays of Python ints.
     """
     if num.shape[1] < 2:
         return
@@ -164,11 +170,16 @@ def _add_run_boundaries(num, den, acc: dict[int, int]) -> None:
     coef = np.zeros(num.shape, dtype=sign.dtype)
     coef[:, 1:] += sign
     coef[:, :-1] -= sign
-    ys, xs = np.nonzero(coef)
-    for c, nn, dd in zip(
-        coef[ys, xs].tolist(), num[ys, xs].tolist(), den[ys, xs].tolist()
-    ):
-        acc[dd] = acc.get(dd, 0) + c * nn
+    hit = coef != 0
+    dens = den[hit]
+    if not dens.size:
+        return
+    order = np.argsort(dens, kind="stable")
+    dens = dens[order]
+    terms = (coef[hit] * num[hit]).astype(object)[order]
+    starts = np.flatnonzero(np.concatenate(([True], dens[1:] != dens[:-1])))
+    for dd, total in zip(dens[starts].tolist(), np.add.reduceat(terms, starts).tolist()):
+        acc[dd] = acc.get(dd, 0) + total
 
 
 def _exact_values(f: GridFunction, spec: BallSpec):
@@ -371,10 +382,10 @@ def delta_variation_closed_form(geometry: str, d: int, R: int) -> Fraction:
     if R < 0:
         raise ValueError("R must be >= 0")
     origin = (0,) * d
-    terms = [
-        2 * (value(origin, base + (0,)) - value(origin, base + (R,)))
+    terms = (
+        (2 * (value(origin, base + (0,)) - value(origin, base + (R,)))).as_integer_ratio()
         for base in product(range(-R, R + 1), repeat=d - 1)
-    ]
+    )
     return d * tree_sum(terms)
 
 

@@ -1,0 +1,102 @@
+import random
+import sys
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maxvar.exact import format_rational, tree_sum
+
+Q = Fraction
+
+pairs = st.tuples(st.integers(-(2**80), 2**80), st.integers(1, 2**70))
+
+
+def _reference(ps):
+    return sum((Q(n, d) for n, d in ps), Q(0))
+
+
+class TestTreeSum:
+    def test_empty_sum_is_zero(self):
+        assert tree_sum([]) == 0 and type(tree_sum([])) is Fraction
+
+    def test_single_term_is_normalised(self):
+        q = tree_sum([(-6, 4)])
+        assert (q.numerator, q.denominator) == (-3, 2)
+
+    def test_takes_any_iterable(self):
+        assert tree_sum((k, k + 1) for k in range(1, 6)) == _reference(
+            [(k, k + 1) for k in range(1, 6)]
+        )
+
+    def test_repeated_and_non_coprime_denominators(self):
+        ps = [(1, 6), (1, 6), (5, 12), (-7, 18), (1, 4), (3, 6), (2, 12)]
+        assert tree_sum(ps) == _reference(ps)
+
+    def test_terms_cancelling_to_zero(self):
+        q = tree_sum([(1, 3), (-2, 6), (5, 10), (-1, 2)])
+        assert q == 0 and q.denominator == 1
+
+    def test_beyond_64_bits(self):
+        ps = [(3**90 + k, 2**70 * (k + 1)) for k in range(37)]
+        ps += [(-(7**60), 11**30), (5**100, 13**40)]
+        assert tree_sum(ps) == _reference(ps)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(pairs, max_size=40))
+    def test_equals_the_builtin_sum(self, ps):
+        q = tree_sum(ps)
+        assert q == _reference(ps)
+        assert q.denominator > 0 and gcd(q.numerator, q.denominator) == 1
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-50, 50), st.sampled_from([1, 2, 3, 4, 6, 12, 36])),
+            max_size=60,
+        )
+    )
+    def test_small_shared_denominators(self, ps):
+        assert tree_sum(ps) == _reference(ps)
+
+
+@pytest.fixture
+def no_digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+class TestFormatRational:
+    @pytest.mark.parametrize("bits", [1, 64, 2047, 2048, 2049, 4097, 14_300, 100_003])
+    def test_equals_str(self, no_digit_limit, bits):
+        rng = random.Random(bits)
+        for n in (rng.getrandbits(bits) | 1 << (bits - 1), (1 << bits) - 1, 10 ** (bits * 3 // 10)):
+            assert format_rational(Q(n)) == str(n)
+            assert format_rational(Q(-n)) == str(-n)
+
+    def test_200k_digits_equal_str(self, no_digit_limit):
+        n = random.Random(0).getrandbits(664_000)
+        digits = str(n)
+        assert len(digits) > 199_000
+        assert format_rational(Q(n)) == digits and format_rational(Q(-n)) == "-" + digits
+
+    def test_fractions_equal_str(self, no_digit_limit):
+        q = Q(-(7**20_000) - 3, 11**15_000)
+        assert format_rational(q) == f"{q.numerator}/{q.denominator}"
+
+    def test_zero_and_small_values(self):
+        assert format_rational(Q(0)) == "0"
+        assert format_rational(Q(-5)) == "-5" and format_rational(Q(3, 4)) == "3/4"
+
+    def test_ignores_the_digit_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            s = format_rational(Q(10**5000 + 1, 3))
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert s == "1" + "0" * 4999 + "1/3"

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -195,6 +196,74 @@ class TestSweepMatchesReference:
         spec = BallSpec("cube", 2)
         R = f.support_radius() + extra
         assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
+
+
+def _run_boundaries_per_entry(num, den, acc):
+    """The per-entry reduction `_add_run_boundaries` replaced: one dict
+    update per nonzero run-boundary coefficient."""
+    if num.shape[1] < 2:
+        return
+    sign = np.sign(num[:, 1:] * den[:, :-1] - num[:, :-1] * den[:, 1:])
+    coef = np.zeros(num.shape, dtype=sign.dtype)
+    coef[:, 1:] += sign
+    coef[:, :-1] -= sign
+    ys, xs = np.nonzero(coef)
+    for c, nn, dd in zip(coef[ys, xs].tolist(), num[ys, xs].tolist(), den[ys, xs].tolist()):
+        acc[dd] = acc.get(dd, 0) + c * nn
+
+
+class TestRunBoundaryReduction:
+    """Grouped per-denominator totals against the per-entry reference."""
+
+    @staticmethod
+    def _check(num, den, start=None):
+        got, want = dict(start or {}), dict(start or {})
+        varanalysis._add_run_boundaries(num, den, got)
+        _run_boundaries_per_entry(num, den, want)
+        assert got == want
+        assert all(type(k) is int and type(v) is int for k, v in got.items())
+        return got
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_int64_rows_with_plateaus_and_repeated_denominators(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = int(rng.integers(1, 9)), int(rng.integers(2, 30))
+        # few distinct values, so rows have plateaus and denominators repeat
+        num = rng.integers(0, 4, size=(rows, cols)).cumsum(axis=1) * rng.integers(1, 3)
+        den = rng.choice(np.array([1, 2, 3, 6, 12]), size=(rows, cols))
+        self._check(num.astype(np.int64), den.astype(np.int64), {6: 5, 7: -1})
+
+    def test_broadcast_numerators(self):
+        # `_best` returns the numerators as a read-only broadcast view
+        den = np.array([[4, 3, 2, 3, 4], [9, 5, 5, 7, 9], [2, 2, 2, 2, 2]], dtype=np.int64)
+        num = np.broadcast_to(np.int64(3), den.shape)
+        assert self._check(num, den)
+
+    def test_single_column_adds_nothing(self):
+        acc = self._check(np.array([[1], [2]], dtype=np.int64), np.ones((2, 1), np.int64))
+        assert acc == {}
+
+    def test_flat_rows_add_nothing(self):
+        num = np.full((3, 5), 7, dtype=np.int64)
+        den = np.full((3, 5), 2, dtype=np.int64)
+        assert self._check(num, den, {2: 1}) == {2: 1}
+
+    def test_int64_totals_beyond_2_63(self):
+        # every term fits in int64, their per-denominator total does not
+        num = np.tile(np.array([0, 2**61], dtype=np.int64), (4, 8))
+        acc = self._check(num, np.ones_like(num))
+        assert acc[1] > 2**63
+
+    def test_object_arrays_beyond_2_63(self):
+        rng = random.Random(5)
+        big = 2**70
+        num = np.array(
+            [[big * rng.randint(0, 5) + rng.randint(0, 3) for _ in range(9)] for _ in range(4)],
+            dtype=object,
+        )
+        den = np.array([[big + rng.choice([1, 3]) for _ in range(9)] for _ in range(4)], dtype=object)
+        acc = self._check(num, den)
+        assert acc and max(abs(v) for v in acc.values()) > 2**63
 
 
 class TestAdaptiveVariation:
