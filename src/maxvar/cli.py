@@ -18,7 +18,12 @@ serialised as canonical "p/q" strings, so outputs are byte-identical across
 runs for fixed inputs and seeds.
 
 Exit codes: 0 success, 1 property violation, 2 bad arguments or parse
-failure, 3 enumeration cap exceeded, 4 geometry/dimension mismatch.
+failure, 3 enumeration cap exceeded, 4 geometry/dimension mismatch.  The cap
+(MAXVAR_ENUM_CAP) bounds the points `count --enumerate` lists and, checked
+before any work, the entries the lattice count memo of `count` would hold,
+the (2R+1)^d points of `maxfn --box`, the terms of `constant --terms`, and
+the points the line sweep evaluates for `verify` at --rmax and for `scan`
+at --box.
 """
 
 from __future__ import annotations
@@ -113,9 +118,15 @@ def _emit_json(payload: dict) -> None:
 def cmd_count(args: argparse.Namespace) -> int:
     if args.dim < 1 or args.radius < 0:
         raise CliError("need --dim >= 1 and --radius >= 0", EXIT_USAGE)
+    cap = _enum_cap()
+    # the memo keeps counts and prefix sums of every dimension up to dim
+    entries = 2 * (args.dim + 1) * (args.radius + 1)
+    if entries > cap:
+        raise CliError(
+            f"counting to radius {args.radius} memoises {entries} entries, cap is {cap}", EXIT_CAP
+        )
     print(lattice.l1_ball_count(args.dim, args.radius))
     if args.enumerate:
-        cap = _enum_cap()
         try:
             points = lattice.l1_ball_points(args.dim, args.radius, cap=cap)
         except lattice.EnumerationCapExceeded as exc:
@@ -123,6 +134,15 @@ def cmd_count(args: argparse.Namespace) -> int:
         for p in points:
             print(" ".join(str(c) for c in p))
     return EXIT_OK
+
+
+def _check_sweep(f: GridFunction, R: int) -> None:
+    cap = _enum_cap()
+    points = varanalysis.sweep_points(f, R)
+    if points > cap:
+        raise CliError(
+            f"the line sweep at radius {R} evaluates {points} points, cap is {cap}", EXIT_CAP
+        )
 
 
 def _enum_cap() -> int:
@@ -215,6 +235,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = _spec_for(args.geometry, f.dim)
     try:
         epsilon = parse_rational(args.epsilon)
+        _check_sweep(f, args.rmax)
         record, report = verify.verify_inequality(
             f, spec, epsilon, r_max=args.rmax, terms=args.terms
         )
@@ -350,6 +371,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise CliError(f"unknown family {args.family!r}", EXIT_USAGE)
     dim = 1 if args.geometry.endswith("1d") else 2
     spec = BallSpec(args.geometry, dim)
+    if args.box >= args.radius >= 0:  # else scan_extremizers names the bad argument
+        # every member's support lies in [0, radius]^dim, so the pair of its
+        # corners has the widest sweep
+        _check_sweep(GridFunction(dim, {(0,) * dim: 1, (args.radius,) * dim: 1}), args.box)
     try:
         records = verify.scan_extremizers(
             spec, max_distance=args.radius, R=args.box, terms=args.terms

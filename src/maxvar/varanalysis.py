@@ -46,19 +46,24 @@ den) per distinct denominator reaches `exact.tree_sum`, the lcm pair tree.
 
 Two evaluators feed the driver, chosen from the input alone.  At d = 2, for
 l1 and cube supports of at most `_GRID_SUPPORT_LIMIT` points, a vectorised
-evaluator forms each candidate of the `maxop` kernels as int64 arrays --
-per support point for l1 (the mass within its distance over the ball count
-at that distance), per closed support subset for cube -- and keeps the best
-by cross-multiplication, which is exact while `_grid_products_fit_int64`
-holds.  Every other input (d = 1, d >= 3, larger supports, products that
-could overflow) takes each distinct point's value from `maxop.maximal_value`
-once, as object arrays of Python ints with scale 1.  The lemma is a
-statement about the values of Mf, not about how they are computed, so the
-compression is exact for both evaluators.
+evaluator forms all candidates of the `maxop` kernels as int64 arrays
+stacked along a leading candidate axis -- per support point for l1 (the mass
+within its distance, from one broadcast comparison of the distances, over
+the ball count at that distance), per closed support subset for cube -- and
+`_best` reduces that axis by an adjacent-pair tournament of
+cross-multiplications, exact while `_grid_products_fit_int64` holds; each
+point keeps the lowest-index maximum, as a sequential scan would.  Every
+other input (d = 1, d >= 3, larger supports, products that could overflow)
+takes each distinct point's value from `maxop.maximal_value` once, as object
+arrays of Python ints with scale 1.  The lemma is a statement about the
+values of Mf, not about how they are computed, so the compression is exact
+for both evaluators.
 
-Cost: d (2R+1)^(d-1) lines of at most span + 2 points each, span being the
-support's extent along the line's axis, times the per-point candidate work;
-the (2R+1)^d box is never formed.
+Cost: d (2R+1)^(d-1) lines of at most span + 2 points each (`sweep_points`),
+span being the support's extent along the line's axis, times C candidates
+per point and about 2C int64 products in the tournament; the (2R+1)^d box
+is never formed.  No array of a chunk of lines exceeds `_CHUNK_CELLS` cells
+summed over the candidate axis, unless one line alone does.
 """
 
 from __future__ import annotations
@@ -81,8 +86,9 @@ from .maxop import BallSpec
 #: 2^s - 1 of them
 _GRID_SUPPORT_LIMIT = 8
 
-#: array cells per candidate that one chunk of lines may hold
-_CHUNK_CELLS = 4_000_000
+#: cells any one array of a chunk may hold, summed over the candidate axis
+#: (s^2 distance comparisons per point for l1): 512 KiB of int64
+_CHUNK_CELLS = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +104,7 @@ def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fracti
     """
     if spec.dim != f.dim:
         raise ValueError("spec dimension does not match function dimension")
-    if R < f.support_radius():
-        raise ValueError(
-            f"truncation radius {R} smaller than support radius {f.support_radius()}"
-        )
+    _check_radius(f, R)
     if not f:
         return Fraction(0)
     # per axis: the line ends plus the support's projection, where Mf may turn
@@ -109,6 +112,26 @@ def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fracti
     if f.dim == 2 and len(f.support) <= _GRID_SUPPORT_LIMIT and _grid_products_fit_int64(f, R):
         return _sweep(*_vectorised_values_2d(f, spec.centered, R), R, stops)
     return _sweep(_exact_values(f, spec), 1, 1, R, stops)
+
+
+def sweep_points(f: GridFunction, R: int) -> int:
+    """Points `truncated_variation_maxfn` evaluates at radius R, counted
+    without forming them: per axis, (2R+1)^(d-1) lines at the stops
+    {-R, R} + [lo..hi]."""
+    _check_radius(f, R)
+    if not f:
+        return 0
+    return sum(
+        (2 * R + 1) ** (f.dim - 1) * (hi - lo + 1 + (lo > -R) + (hi < R))
+        for lo, hi in zip(*f.support_box())
+    )
+
+
+def _check_radius(f: GridFunction, R: int) -> None:
+    if R < f.support_radius():
+        raise ValueError(
+            f"truncation radius {R} smaller than support radius {f.support_radius()}"
+        )
 
 
 def _grid_products_fit_int64(f: GridFunction, R: int) -> bool:
@@ -209,51 +232,69 @@ def _exact_values(f: GridFunction, spec: BallSpec):
 def _vectorised_values_2d(f: GridFunction, centered: bool, R: int):
     """Evaluator of int64 values at d = 2, with its width and scale.
 
-    Each candidate generator yields integer (num, den) pairs, arrays or
-    scalars that broadcast to the shape of the points (x, y); Mf is the
-    largest num / (scale * den) over them.  The shell table is built once
-    per sweep.
+    The candidates at points (x, y) are integer (num, den) arrays stacked
+    along a leading axis, num possibly broadcasting along the point axes; Mf
+    is the largest num / (scale * den), which `_best` picks.  `width` is the
+    widest array's cells per point.  Tables are built once per sweep.
     """
     masses, scale = f.integer_masses()
     if centered:
         k_max = max(abs(x) + abs(y) for x, y in f.support) + 2 * R
         ntab = np.array(lattice.ShellTable.build(2, k_max).counts, dtype=np.int64)
-        candidates = partial(_l1_candidates_2d, f.support, masses, ntab)
-        width = len(masses)
+        px, py = np.array(f.support, dtype=np.int64).T[:, :, None, None]
+        candidates = partial(_l1_candidates_2d, px, py, np.array(masses, dtype=np.int64), ntab)
+        width = len(masses) ** 2
     else:
         closures = maxop.hull_closures(f.support, tuple(masses))
-        candidates = partial(_cube_candidates_2d, closures)
+        mass, lower, upper = zip(*closures)
+        columns = np.array([mass, *zip(*lower), *zip(*upper)], dtype=np.int64)[:, :, None, None]
+        candidates = partial(_cube_candidates_2d, *columns)
         width = len(closures)
-    return (lambda coords: _best(candidates(*coords))), width, scale
+    return (lambda coords: _best(*candidates(*coords))), width, scale
 
 
-def _best(candidates):
-    """Largest of the (num, den) candidates by cross-multiplication."""
-    bn, bd = next(candidates)
-    for n, d in candidates:
-        better = n * bd > bn * d
-        bn = np.where(better, n, bn)
-        bd = np.where(better, d, bd)
-    return np.broadcast_to(bn, bd.shape), bd
+def _best(num, den):
+    """Largest num / den along the leading candidate axis, with its pair.
+
+    Each round of the tournament plays candidate 2i against 2i + 1, keeping
+    the later one only where it is strictly larger, and carries an odd last
+    one up; every winner is the lowest-index maximum of a contiguous block,
+    the pair a sequential scan keeps.  Winners go to the even slots of den,
+    and of num once it is a full array, so both are consumed.
+    """
+    while len(den) > 1:
+        h = len(den) // 2
+        better = num[1::2] * den[: 2 * h : 2] > num[: 2 * h : 2] * den[1::2]
+        np.copyto(den[: 2 * h : 2], den[1::2], where=better)
+        kept = num[::2]
+        if kept.shape != den[::2].shape:  # per-candidate masses: widen once
+            kept = np.array(np.broadcast_to(kept, den[::2].shape))
+        np.copyto(kept[:h], num[1::2], where=better)
+        num, den = kept, den[::2]
+    return np.broadcast_to(num[0], den[0].shape), den[0]
 
 
-def _l1_candidates_2d(points, masses: list[int], ntab, x, y):
-    """Per support point p: the mass within |(x, y) - p|_1 of (x, y) over
-    N(2, |(x, y) - p|_1), the radii `maxop.centered_max_l1` scans; `ntab`
-    holds N(2, k) for every reachable k."""
-    dists = [np.abs(x - px) + np.abs(y - py) for px, py in points]
-    for dj in dists:
-        yield sum(m * (di <= dj) for m, di in zip(masses, dists)), ntab[dj]
+def _l1_candidates_2d(px, py, masses, ntab, x, y):
+    """Per support point p, stacked: the mass within |(x, y) - p|_1 of
+    (x, y) over N(2, |(x, y) - p|_1), the radii `maxop.centered_max_l1`
+    scans; `ntab` holds N(2, k) for every reachable k."""
+    dist = np.abs(x - px) + np.abs(y - py)
+    # within[j, i]: support point i lies within distance dist[j]
+    within = dist[None] <= dist[:, None]
+    return np.einsum("ji...,i->j...", within, masses), ntab[dist]
 
 
-def _cube_candidates_2d(closures, x, y):
-    """Per closed support subset S of `maxop.hull_closures`: its mass over
-    the least count of an admissible box around the hull of S and (x, y)."""
-    for mass, (mnx, mny), (mxx, mxy) in closures:
-        ex = np.maximum(mxx, x) - np.minimum(mnx, x) + 1
-        ey = np.maximum(mxy, y) - np.minimum(mny, y) + 1
-        short = np.maximum(ex, ey) - 1
-        yield mass, np.maximum(ex, short) * np.maximum(ey, short)
+def _cube_candidates_2d(mass, mnx, mny, mxx, mxy, x, y):
+    """Per closed support subset S of `maxop.hull_closures`, stacked: its
+    mass over the least count of an admissible box around the hull of S and
+    (x, y).  For hull extents a, b that count, max(a, b) times
+    max(min(a, b), max(a, b) - 1), is max(ab, a(a - 1), b(b - 1))."""
+    ex = np.maximum(mxx, x) - np.minimum(mnx, x) + 1
+    ey = np.maximum(mxy, y) - np.minimum(mny, y) + 1
+    den = ex * ey
+    np.maximum(den, ex * (ex - 1), out=den)
+    np.maximum(den, ey * (ey - 1), out=den)
+    return mass, den
 
 
 # ---------------------------------------------------------------------------

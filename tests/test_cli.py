@@ -53,6 +53,17 @@ class TestCount:
         )
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("radius, code", [("16", 3), ("15", 0)])
+    def test_memo_growth_checked_against_enum_cap(self, radius, code):
+        # at dim 2 the memo takes 2 * 3 * (radius + 1) entries: 102, then 96
+        r = run_cli("count", "--dim", "2", "--radius", radius, env_extra={"MAXVAR_ENUM_CAP": "100"})
+        assert r.returncode == code
+        if code:
+            assert r.stdout == ""
+            assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+        else:
+            assert r.stdout == "481\n"
+
 
 class TestMaxfn:
     def test_delta_centered(self, tmp_path):
@@ -197,6 +208,20 @@ class TestVerify:
     def test_missing_flags_exit_2(self):
         assert run_cli("verify").returncode == 2
 
+    @pytest.mark.parametrize("cap, code", [("118", 3), ("119", 0)])
+    def test_sweep_at_rmax_checked_against_enum_cap(self, tmp_path, cap, code):
+        # at R = 8: 17 lines of 4 stops along the first axis, 17 of 3 along the second
+        doc = write_doc(
+            tmp_path, "f.json", 2,
+            [{"point": [0, 0], "value": "1"}, {"point": [1, 0], "value": "1/2"}],
+        )
+        r = run_cli("verify", "--input", doc, "--geometry", "l1", "--rmax", "8",
+                    env_extra={"MAXVAR_ENUM_CAP": cap})
+        assert r.returncode == code
+        if code:
+            assert r.stdout == ""
+            assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+
     def test_negative_oracle_instances_exit_2(self):
         r = run_cli("verify", "--suite", "oracle", "--instances", "-1")
         assert r.returncode == 2 and r.stdout == ""
@@ -246,6 +271,17 @@ class TestScan:
         r = run_cli("scan", "--geometry", "cube", *args)
         assert r.returncode == 2 and r.stdout == ""
         assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("box, code", [("20", 3), ("19", 0)])
+    def test_sweep_at_box_checked_against_enum_cap(self, box, code):
+        # the widest member {(0, 0), (1, 1)} has 4 stops on each of 2 (2R + 1)
+        # lines: 328 points at R = 20, 312 at R = 19
+        r = run_cli("scan", "--geometry", "cube", "--radius", "1", "--box", box,
+                    env_extra={"MAXVAR_ENUM_CAP": "320"})
+        assert r.returncode == code
+        if code:
+            assert r.stdout == ""
+            assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
 
     def test_radius_zero_prints_the_delta_row(self):
         r = run_cli("scan", "--geometry", "cube", "--radius", "0", "--box", "10")

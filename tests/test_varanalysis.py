@@ -266,6 +266,162 @@ class TestRunBoundaryReduction:
         assert acc and max(abs(v) for v in acc.values()) > 2**63
 
 
+def _best_sequential(num, den):
+    """The per-candidate loop the tournament replaced: a running best that
+    takes a later candidate only where it is strictly larger."""
+    bn, bd = num[0], den[0]
+    for n, d in zip(num[1:], den[1:]):
+        better = n * bd > bn * d
+        bn = np.where(better, n, bn)
+        bd = np.where(better, d, bd)
+    return np.broadcast_to(bn, bd.shape), bd
+
+
+class TestTournament:
+    """`_best` against the sequential reference: the same (num, den) pair
+    must win at every point, ties included."""
+
+    @staticmethod
+    def _check(num, den):
+        want = _best_sequential(num, den)
+        got = varanalysis._best(num.copy(), den.copy())  # the rounds consume their input
+        assert got[1].shape == den.shape[1:]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("count", range(1, 10))
+    def test_full_arrays(self, count):
+        rng = np.random.default_rng(count)
+        num = rng.integers(1, 30, size=(count, 4, 7))
+        den = rng.integers(1, 30, size=(count, 4, 7))
+        self._check(num, den)
+
+    @pytest.mark.parametrize("count", range(1, 10))
+    def test_scalar_masses_broadcast_against_counts(self, count):
+        rng = np.random.default_rng(100 + count)
+        num = rng.integers(1, 30, size=(count, 1, 1))
+        den = rng.integers(1, 30, size=(count, 5, 3))
+        self._check(num, den)
+
+    @pytest.mark.parametrize("count", range(2, 10))
+    def test_equal_values_with_different_pairs(self, count):
+        # every candidate is v/w scaled by its own factor, and v/w takes two
+        # values, so most points see ties between distinct (num, den) pairs
+        rng = np.random.default_rng(200 + count)
+        scale = np.arange(1, count + 1)[:, None, None]
+        v = rng.integers(1, 3, size=(count, 6, 6))
+        num, den = v * scale, 2 * scale * np.ones_like(v)
+        self._check(num, den)
+        got = varanalysis._best(num.copy(), den.copy())
+        # the lowest index holding the maximum wins
+        first = np.argmax(v == v.max(axis=0), axis=0)
+        assert np.array_equal(got[1], 2 * (first + 1))
+
+    def test_products_just_below_the_int64_bound(self):
+        # masses near 2^40 against counts near 2^22: every product is just
+        # under 2^62, the bound `_grid_products_fit_int64` enforces
+        rng = np.random.default_rng(7)
+        top_num, top_den = 2**40, 2**22
+        num = top_num - rng.integers(1, 4, size=(7, 1, 1))
+        den = top_den - rng.integers(1, 4, size=(7, 3, 8))
+        assert int(num.max()) * int(den.max()) < 2**62
+        self._check(num, den)
+        # near-equal ratios that only exact products tell apart
+        num = np.array([top_num - 1, top_num - 3, top_num - 2]).reshape(3, 1, 1)
+        den = np.array([top_den - 1, top_den - 3, top_den - 2]).reshape(3, 1, 1).repeat(2, axis=1)
+        self._check(num, den)
+
+    def test_single_candidate_takes_no_round(self):
+        den = np.arange(1, 13, dtype=np.int64).reshape(1, 3, 4)
+        num = np.full((1, 1, 1), 5, dtype=np.int64)
+        bn, bd = varanalysis._best(num, den)
+        assert np.shares_memory(bd, den) and np.shares_memory(bn, num)
+
+
+def _eight_point(rng):
+    points = set()
+    while len(points) < 8:
+        points.add((rng.randint(-4, 4), rng.randint(-4, 4)))
+    values = [Q(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1)) for _ in points]
+    return GridFunction(2, dict(zip(sorted(points), values)))
+
+
+class _Recorded(np.ndarray):
+    """Coordinates that record the size of every array derived from them."""
+
+    sizes: list = []
+
+    def __array_finalize__(self, obj):
+        _Recorded.sizes.append(self.size)
+
+
+class TestChunkBudget:
+    """The vectorised evaluator keeps every array of a chunk, the candidate
+    stacks and the tournament's temporaries included, within _CHUNK_CELLS
+    cells."""
+
+    @pytest.mark.parametrize("geometry", ["l1", "cube"])
+    def test_no_array_exceeds_the_budget(self, geometry, monkeypatch):
+        rng = random.Random(geometry)
+        f = _eight_point(rng)
+        spec = BallSpec(geometry, 2)
+        want = truncated_variation_maxfn(f, spec, 128)
+        stacks, returned = [], []
+        evaluator, best = varanalysis._vectorised_values_2d, varanalysis._best
+
+        def recording_evaluator(*args):
+            values, width, scale = evaluator(*args)
+
+            def recorded(coords):
+                out = values([c.view(_Recorded) for c in coords])
+                returned.extend(out)
+                return [np.asarray(a) for a in out]
+
+            return recorded, width, scale
+
+        def recording_best(num, den):
+            stacks.extend((num, den))
+            return best(num, den)
+
+        monkeypatch.setattr(_Recorded, "sizes", [])
+        monkeypatch.setattr(varanalysis, "_vectorised_values_2d", recording_evaluator)
+        monkeypatch.setattr(varanalysis, "_best", recording_best)
+        assert truncated_variation_maxfn(f, spec, 128) == want
+        budget = varanalysis._CHUNK_CELLS
+        assert len(f.support) == 8 and stacks and returned and _Recorded.sizes
+        assert max(a.size for a in stacks + returned) <= budget
+        assert max(_Recorded.sizes) <= budget
+        # the chunks do fill the budget: the widest array, the candidate
+        # stack for cube and the distance comparison for l1, passes half of it
+        assert max(_Recorded.sizes) > budget // 2
+
+
+class TestSweepPoints:
+    @pytest.mark.parametrize(
+        "d, geometry", [(1, "centered1d"), (2, "l1"), (2, "cube"), (3, "cube")]
+    )
+    def test_counts_the_points_the_sweep_evaluates(self, d, geometry, monkeypatch):
+        rng = random.Random(d)
+        seen = []
+        reduce = varanalysis._add_run_boundaries
+        def counting(num, den, acc):
+            seen.append(num.size)
+            reduce(num, den, acc)
+
+        monkeypatch.setattr(varanalysis, "_add_run_boundaries", counting)
+        for _ in range(4):
+            f = _random_f(d, rng, radius=3)
+            for R in (f.support_radius(), f.support_radius() + 2):
+                seen.clear()
+                truncated_variation_maxfn(f, BallSpec(geometry, d), R)
+                assert sum(seen) == varanalysis.sweep_points(f, R)
+
+    def test_zero_function_and_small_radius(self):
+        assert varanalysis.sweep_points(GridFunction.zero(2), 5) == 0
+        assert varanalysis.sweep_points(GridFunction.delta((0, 0)), 0) == 2
+        with pytest.raises(ValueError):
+            varanalysis.sweep_points(GridFunction.delta((3, 0)), 2)
+
+
 class TestAdaptiveVariation:
     def test_delta_centered_converges_near_two(self):
         rep = adaptive_variation(
