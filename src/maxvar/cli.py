@@ -235,7 +235,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = _spec_for(args.geometry, f.dim)
     try:
         epsilon = parse_rational(args.epsilon)
-        _check_sweep(f, args.rmax)
+        # verify_inequality measures the recentered copy, so that is what is swept
+        _check_sweep(verify.recenter(f), args.rmax)
         record, report = verify.verify_inequality(
             f, spec, epsilon, r_max=args.rmax, terms=args.terms
         )

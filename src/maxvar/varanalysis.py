@@ -71,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -104,11 +104,9 @@ def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fracti
     """
     if spec.dim != f.dim:
         raise ValueError("spec dimension does not match function dimension")
-    _check_radius(f, R)
+    stops = [list(chain(*parts)) for parts in _stops(f, R)]
     if not f:
         return Fraction(0)
-    # per axis: the line ends plus the support's projection, where Mf may turn
-    stops = [sorted({-R, R, *range(lo, hi + 1)}) for lo, hi in zip(*f.support_box())]
     if f.dim == 2 and len(f.support) <= _GRID_SUPPORT_LIMIT and _grid_products_fit_int64(f, R):
         return _sweep(*_vectorised_values_2d(f, spec.centered, R), R, stops)
     return _sweep(_exact_values(f, spec), 1, 1, R, stops)
@@ -116,22 +114,24 @@ def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fracti
 
 def sweep_points(f: GridFunction, R: int) -> int:
     """Points `truncated_variation_maxfn` evaluates at radius R, counted
-    without forming them: per axis, (2R+1)^(d-1) lines at the stops
-    {-R, R} + [lo..hi]."""
-    _check_radius(f, R)
-    if not f:
-        return 0
-    return sum(
-        (2 * R + 1) ** (f.dim - 1) * (hi - lo + 1 + (lo > -R) + (hi < R))
-        for lo, hi in zip(*f.support_box())
-    )
+    without forming them: per axis, (2R+1)^(d-1) lines at its stops."""
+    return sum((2 * R + 1) ** (f.dim - 1) * sum(map(len, parts)) for parts in _stops(f, R))
 
 
-def _check_radius(f: GridFunction, R: int) -> None:
+def _stops(f: GridFunction, R: int) -> list[tuple[range, range, range]]:
+    """Per axis, the stops of a line at radius R in increasing order: the
+    line ends -R and R, and the support's projection [lo..hi] between them,
+    where Mf may turn.  Kept as ranges, so they can be counted unformed."""
     if R < f.support_radius():
         raise ValueError(
             f"truncation radius {R} smaller than support radius {f.support_radius()}"
         )
+    if not f:
+        return []
+    return [
+        (range(-R, lo)[:1], range(lo, hi + 1), range(hi + 1, R + 1)[-1:])
+        for lo, hi in zip(*f.support_box())
+    ]
 
 
 def _grid_products_fit_int64(f: GridFunction, R: int) -> bool:
@@ -248,6 +248,7 @@ def _vectorised_values_2d(f: GridFunction, centered: bool, R: int):
         closures = maxop.hull_closures(f.support, tuple(masses))
         mass, lower, upper = zip(*closures)
         columns = np.array([mass, *zip(*lower), *zip(*upper)], dtype=np.int64)[:, :, None, None]
+        columns.flags.writeable = False  # shared by every chunk of the sweep
         candidates = partial(_cube_candidates_2d, *columns)
         width = len(closures)
     return (lambda coords: _best(*candidates(*coords))), width, scale
@@ -260,14 +261,15 @@ def _best(num, den):
     the later one only where it is strictly larger, and carries an odd last
     one up; every winner is the lowest-index maximum of a contiguous block,
     the pair a sequential scan keeps.  Winners go to the even slots of den,
-    and of num once it is a full array, so both are consumed.
+    and of num once it is a full writeable array, so both are consumed; a
+    read-only num is copied first.
     """
     while len(den) > 1:
         h = len(den) // 2
         better = num[1::2] * den[: 2 * h : 2] > num[: 2 * h : 2] * den[1::2]
         np.copyto(den[: 2 * h : 2], den[1::2], where=better)
         kept = num[::2]
-        if kept.shape != den[::2].shape:  # per-candidate masses: widen once
+        if kept.shape != den[::2].shape or not kept.flags.writeable:  # shared masses: copy once
             kept = np.array(np.broadcast_to(kept, den[::2].shape))
         np.copyto(kept[:h], num[1::2], where=better)
         num, den = kept, den[::2]

@@ -42,7 +42,7 @@ class SharpnessRecord:
         return (self.gap, self.support)
 
 
-def _recenter(f: GridFunction) -> GridFunction:
+def recenter(f: GridFunction) -> GridFunction:
     """Translate the support bounding box to straddle the origin.
 
     The operators commute with translations, and the floor-midpoint shift is
@@ -89,11 +89,11 @@ def verify_inequality(
 
     The gap uses the *upper* end of the constant's enclosure, so gap >= 0 is
     a sound claim even though the constant itself is known only to enclosure
-    width.  The input is recentered before measuring; see `_recenter`.
+    width.  The input is recentered before measuring; see `recenter`.
     """
     if not f:
         raise ValueError("verify_inequality requires a nonzero function")
-    f = _recenter(f)
+    f = recenter(f)
     report = adaptive_variation(f, spec, epsilon, r_max=r_max, terms=terms)
     bound = bound_for_geometry(spec.geometry, spec.dim, terms).upper
     return _record(f, spec, report.truncated_var, bound, report.truncation_radius), report

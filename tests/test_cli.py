@@ -208,6 +208,16 @@ class TestVerify:
     def test_missing_flags_exit_2(self):
         assert run_cli("verify").returncode == 2
 
+    def test_off_origin_input_swept_after_recentering(self, tmp_path):
+        # the delta at 100 is measured at the origin, so --rmax 4 covers it
+        outs = []
+        for point in (100, 0):
+            doc = write_doc(tmp_path, f"f{point}.json", 1, [{"point": [point], "value": "1"}])
+            r = run_cli("verify", "--input", doc, "--geometry", "centered1d", "--rmax", "4")
+            assert r.returncode == 0
+            outs.append((r.stdout, r.stderr))
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("cap, code", [("118", 3), ("119", 0)])
     def test_sweep_at_rmax_checked_against_enum_cap(self, tmp_path, cap, code):
         # at R = 8: 17 lines of 4 stops along the first axis, 17 of 3 along the second

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from maxvar import constants, varanalysis
 from maxvar.gridfn import GridFunction, line_restriction
 from maxvar.lattice import l1_shell_count
-from maxvar.maxop import BallSpec, evaluate_on_box
+from maxvar.maxop import BallSpec, evaluate_on_box, maximal_value
 from maxvar.oracle import brute_variation
 from maxvar.varanalysis import (
     LatticeLine,
@@ -330,6 +330,25 @@ class TestTournament:
         den = np.array([top_den - 1, top_den - 3, top_den - 2]).reshape(3, 1, 1).repeat(2, axis=1)
         self._check(num, den)
 
+    def test_read_only_masses_are_copied_not_written(self):
+        # one point: the even slots of the masses have the winners' shape
+        num = np.array([3, 5, 4, 5], dtype=np.int64).reshape(4, 1, 1)
+        num.flags.writeable = False
+        den = np.array([2, 3, 2, 4], dtype=np.int64).reshape(4, 1, 1)
+        want = _best_sequential(num, den)
+        got = varanalysis._best(num, den.copy())
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert num.ravel().tolist() == [3, 5, 4, 5]
+
+    def test_single_point_chunks_leave_the_cube_masses_intact(self):
+        # the cube masses are shared by every chunk of a sweep
+        f = _eight_point(random.Random(3))
+        values, _, scale = varanalysis._vectorised_values_2d(f, False, 6)
+        for x, y in [(0, 0), (-6, 2), (0, 0), (5, -1)]:
+            num, den = values([np.array([[x]]), np.array([[y]])])
+            got = Q(int(num[0, 0]), scale * int(den[0, 0]))
+            assert got == maximal_value(f, BallSpec("cube", 2), (x, y))
+
     def test_single_candidate_takes_no_round(self):
         den = np.arange(1, 13, dtype=np.int64).reshape(1, 3, 4)
         num = np.full((1, 1, 1), 5, dtype=np.int64)
@@ -418,6 +437,9 @@ class TestSweepPoints:
     def test_zero_function_and_small_radius(self):
         assert varanalysis.sweep_points(GridFunction.zero(2), 5) == 0
         assert varanalysis.sweep_points(GridFunction.delta((0, 0)), 0) == 2
+        # stops {-3, 3} + [-3..1] on the first axis, {-3, 3} + [0] on the second
+        f = GridFunction(2, {(-3, 0): 1, (1, 0): 1})
+        assert varanalysis.sweep_points(f, 3) == 7 * 6 + 7 * 3
         with pytest.raises(ValueError):
             varanalysis.sweep_points(GridFunction.delta((3, 0)), 2)
 
