@@ -28,14 +28,13 @@ below are pruned to provably sufficient finite sets:
   is realised by an actual box.  A subset S is closed when it is all of
   the support inside its own hull; S and its closure give {n} the same
   hull, and the closure carries strictly more mass unless it is S, so only
-  closed subsets -- one per distinct hull box, `hull_closures` -- can win.
-  The literal box enumeration lives in `oracle` as the independent
+  closed subsets -- one per closed box, `hull_closures` -- can win.  The
+  literal box enumeration lives in `oracle` as the independent
   cross-check.
 * at d = 1 the minimal box is the hull itself, and a subset has the same
   hull as the run of consecutive support points between its least and
   largest point, which carries at least its mass.  So the O(s^2) runs of
-  the sorted support replace the 2^s - 1 subsets, and the `SUBSET_LIMIT`
-  fallback to literal box enumeration is only taken for d >= 2.
+  the sorted support, taken around n, are the candidates.
 
 Averages are compared by integer cross-multiplication of the masses over
 their common denominator (`GridFunction.integer_masses`), and the winning
@@ -61,11 +60,6 @@ from .gridfn import GridFunction
 from .lattice import Box, LatticePoint
 
 GEOMETRIES = ("centered1d", "uncentered1d", "l1", "cube")
-
-#: at d >= 2, supports larger than this fall back from subset candidates to
-#: literal box enumeration in the cube operator
-SUBSET_LIMIT = 12
-
 
 @dataclass(frozen=True)
 class BallSpec:
@@ -225,10 +219,8 @@ def uncentered_max_cube(f: GridFunction, n: LatticePoint) -> ArgmaxWitness:
     masses, scale = f.integer_masses()
     if f.dim == 1:
         candidates = _run_boxes([p[0] for p in f.support], masses, n[0])
-    elif len(masses) <= SUBSET_LIMIT:
-        candidates = _subset_boxes(f.support, masses, n)
     else:
-        candidates = _enumerated_boxes(f, masses, n)
+        candidates = _subset_boxes(f.support, masses, n)
     best = next(candidates)
     for cand in candidates:
         cross = cand[0] * best[1] - best[0] * cand[1]
@@ -265,32 +257,42 @@ def hull_closures(
 ) -> tuple[tuple[int, LatticePoint, LatticePoint], ...]:
     """(mass, lower, upper) per distinct hull box of a nonempty support subset.
 
-    The mass is that of every support point inside the box, the subset's
-    closure; with positive masses it is the largest mass of any subset
-    with that hull.  Hulls and masses are built up one point at a time
-    over the 2^s - 1 subset masks, so this runs once per support and is
-    memoised on (points, masses).
+    Those boxes are the closed ones, each the hull of the support points
+    inside it, and the mass is that of those points, the subset's closure;
+    with positive masses it is the largest mass of any subset with that
+    hull.  `_closed_boxes` lists them axis by axis from the support's own
+    coordinates, O(s^(2d)) slabs for s points.  This runs once per support
+    and is memoised on (points, masses).
     """
-    full = 1 << len(points)
-    lowers: list[LatticePoint] = [()] * full
-    uppers: list[LatticePoint] = [()] * full
-    subset_mass = [0] * full
-    closures: dict[tuple[LatticePoint, LatticePoint], int] = {}
-    for mask in range(1, full):
-        bit = mask & -mask
-        i = bit.bit_length() - 1
-        rest = mask ^ bit
-        p = points[i]
-        if rest:
-            lo = tuple(map(min, lowers[rest], p))
-            hi = tuple(map(max, uppers[rest], p))
-        else:
-            lo = hi = p
-        lowers[mask], uppers[mask] = lo, hi
-        mass = subset_mass[mask] = subset_mass[rest] + masses[i]
-        if mass > closures.get((lo, hi), 0):
-            closures[lo, hi] = mass
-    return tuple((mass, lo, hi) for (lo, hi), mass in closures.items())
+    return tuple(_closed_boxes(list(zip(points, masses)), 0))
+
+
+def _closed_boxes(
+    members: list[tuple[LatticePoint, int]], axis: int
+) -> Iterator[tuple[int, LatticePoint, LatticePoint]]:
+    """(mass, lower, upper) of the points of `members` inside each box that
+    is closed on the axes from `axis` on; lower and upper are their hull on
+    every axis.
+
+    The boxes with extent [lo, hi] on `axis` are the closed boxes of the
+    slab lo <= x <= hi on the later axes whose points reach both lo and
+    hi.  Past the last axis the one box to list is the members' own hull.
+    """
+    if axis == len(members[0][0]):
+        points, masses = zip(*members)
+        yield sum(masses), tuple(map(min, zip(*points))), tuple(map(max, zip(*points)))
+        return
+    groups: dict[int, list[tuple[LatticePoint, int]]] = {}
+    for p, m in members:
+        groups.setdefault(p[axis], []).append((p, m))
+    coords = sorted(groups)
+    for i, lo in enumerate(coords):
+        slab: list[tuple[LatticePoint, int]] = []
+        for hi in coords[i:]:
+            slab += groups[hi]
+            for box in _closed_boxes(slab, axis + 1):
+                if box[1][axis] == lo and box[2][axis] == hi:
+                    yield box
 
 
 def _subset_boxes(
@@ -307,16 +309,6 @@ def _subset_boxes(
         lower = tuple([h - c + 1 for h, c in zip(his, counts)])
         upper = tuple([l + c - 1 for l, c in zip(lower, counts)])
         yield mass, prod(counts), lower, upper
-
-
-def _enumerated_boxes(
-    f: GridFunction, masses: list[int], n: LatticePoint
-) -> Iterator[Candidate]:
-    """Literal admissible-box sweep; used when the support is large."""
-    for lower, upper in lattice.admissible_boxes_through(n, f.support_box()):
-        box = LatticeBox(lower, upper)
-        mass = sum(m for p, m in zip(f.support, masses) if box.contains(p))
-        yield mass, box.count(), lower, upper
 
 
 # ---------------------------------------------------------------------------

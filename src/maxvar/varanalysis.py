@@ -63,7 +63,9 @@ Cost: d (2R+1)^(d-1) lines of at most span + 2 points each (`sweep_points`),
 span being the support's extent along the line's axis, times C candidates
 per point and about 2C int64 products in the tournament; the (2R+1)^d box
 is never formed.  No array of a chunk of lines exceeds `_CHUNK_CELLS` cells
-summed over the candidate axis, unless one line alone does.
+summed over the candidate axis: a line longer than that is cut into blocks
+of stops, each sharing its first stop with the previous block's last, and
+the blocks' run-boundary variations add up to the line's.
 """
 
 from __future__ import annotations
@@ -113,8 +115,10 @@ def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fracti
 
 
 def sweep_points(f: GridFunction, R: int) -> int:
-    """Points `truncated_variation_maxfn` evaluates at radius R, counted
-    without forming them: per axis, (2R+1)^(d-1) lines at its stops."""
+    """Distinct points `truncated_variation_maxfn` evaluates at radius R,
+    counted without forming them: per axis, (2R+1)^(d-1) lines at its
+    stops.  A line cut into blocks evaluates the stops its blocks share
+    twice; those repeats are not counted."""
     return sum((2 * R + 1) ** (f.dim - 1) * sum(map(len, parts)) for parts in _stops(f, R))
 
 
@@ -155,10 +159,11 @@ def _sweep(values, width: int, scale: int, R: int, stops: list[list[int]]) -> Fr
     """Line sweep reduced exactly per denominator.
 
     The lines of each axis are evaluated in chunks, one row per line and
-    one column per stop: `values` maps the d coordinate arrays of a chunk,
+    one column per stop of a block of `cols` stops, consecutive blocks
+    sharing one stop: `values` maps the d coordinate arrays of a chunk,
     which broadcast to (lines, stops), to integer arrays (num, den) with
     Mf = num / (scale * den).  `width` is the number of array cells the
-    evaluator forms per point, which sizes the chunks.
+    evaluator forms per point, which sizes the blocks and chunks.
     """
     d = len(stops)
     lines = (2 * R + 1) ** (d - 1)
@@ -166,12 +171,14 @@ def _sweep(values, width: int, scale: int, R: int, stops: list[list[int]]) -> Fr
     rests = np.indices((2 * R + 1,) * (d - 1)).reshape(d - 1, lines) - R
     acc: dict[int, int] = {}
     for axis, ts in enumerate(stops):
-        t = np.array(ts, dtype=np.int64)[None, :]
-        rows = max(1, _CHUNK_CELLS // (len(ts) * width))
-        for r0 in range(0, lines, rows):
-            coords = [c[r0 : r0 + rows, None] for c in rests]
-            coords.insert(axis, t)
-            _add_run_boundaries(*values(coords), acc)
+        cols = max(2, min(len(ts), _CHUNK_CELLS // width))
+        rows = max(1, _CHUNK_CELLS // (cols * width))
+        for c0 in range(0, max(len(ts) - 1, 1), cols - 1):
+            t = np.array(ts[c0 : c0 + cols], dtype=np.int64)[None, :]
+            for r0 in range(0, lines, rows):
+                coords = [c[r0 : r0 + rows, None] for c in rests]
+                coords.insert(axis, t)
+                _add_run_boundaries(*values(coords), acc)
     return tree_sum((total, dd * scale) for dd, total in sorted(acc.items()) if total)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from maxvar import oracle
 from maxvar.gridfn import GridFunction
 from maxvar.maxop import (
-    SUBSET_LIMIT,
     BallSpec,
     L1Ball,
     LatticeBox,
@@ -212,9 +211,10 @@ _signed = st.tuples(st.integers(1, 9), st.integers(1, 9), st.booleans()).map(
 class TestOneDimensionalKernels:
     """At d = 1 every geometry is one of the two kernels; check all four
     names against the brute-force interval oracles on signed supports of up
-    to 16 points, past `SUBSET_LIMIT`, so the run candidates are covered."""
+    to 16 points, once from a single point and once from 13, so the run
+    candidates of large supports are covered."""
 
-    @pytest.mark.parametrize("min_size", [1, SUBSET_LIMIT + 1])
+    @pytest.mark.parametrize("min_size", [1, 13])
     @pytest.mark.parametrize("geometry", ["l1", "cube", "centered1d", "uncentered1d"])
     def test_matches_interval_oracle(self, geometry, min_size):
         spec = BallSpec(geometry, 1)
@@ -271,21 +271,33 @@ class TestHullClosures:
 
 
 class TestCubeWitnessesLargeSupports:
-    """2-D cube witnesses for supports of 9 to `SUBSET_LIMIT` signed points,
-    the closed-subset candidates against the literal box enumeration."""
+    """Cube witnesses against the literal box enumeration: signed 2-D
+    supports of 9 to 16 points and 3-D supports of up to 10, where every
+    candidate is a closed box of `hull_closures`."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=12)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
     @given(
         st.dictionaries(
             st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
             _signed,
             min_size=9,
-            max_size=SUBSET_LIMIT,
+            max_size=16,
         ),
         st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
     )
     def test_matches_box_oracle(self, values, n):
         fast, slow = oracle_agreement(GridFunction(2, values), BallSpec("cube", 2), n)
+        assert (fast.value, fast.count, fast.region) == (slow.value, slow.count, slow.region)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(
+        st.dictionaries(
+            st.tuples(*[st.integers(-1, 1)] * 3), _signed, min_size=1, max_size=10
+        ),
+        st.tuples(*[st.integers(-3, 3)] * 3),
+    )
+    def test_matches_box_oracle_3d(self, values, n):
+        fast, slow = oracle_agreement(GridFunction(3, values), BallSpec("cube", 3), n)
         assert (fast.value, fast.count, fast.region) == (slow.value, slow.count, slow.region)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxvar import constants, varanalysis
+from maxvar import constants, maxop, varanalysis
 from maxvar.gridfn import GridFunction, line_restriction
 from maxvar.lattice import l1_shell_count
 from maxvar.maxop import BallSpec, evaluate_on_box, maximal_value
@@ -378,12 +378,11 @@ class TestChunkBudget:
     stacks and the tournament's temporaries included, within _CHUNK_CELLS
     cells."""
 
-    @pytest.mark.parametrize("geometry", ["l1", "cube"])
-    def test_no_array_exceeds_the_budget(self, geometry, monkeypatch):
-        rng = random.Random(geometry)
-        f = _eight_point(rng)
-        spec = BallSpec(geometry, 2)
-        want = truncated_variation_maxfn(f, spec, 128)
+    @staticmethod
+    def _recorded(f, spec, R, monkeypatch):
+        """The variation, with every array of the sweep: the candidate
+        stacks, the evaluator's results and the sizes of all arrays derived
+        from the coordinates."""
         stacks, returned = [], []
         evaluator, best = varanalysis._vectorised_values_2d, varanalysis._best
 
@@ -404,14 +403,63 @@ class TestChunkBudget:
         monkeypatch.setattr(_Recorded, "sizes", [])
         monkeypatch.setattr(varanalysis, "_vectorised_values_2d", recording_evaluator)
         monkeypatch.setattr(varanalysis, "_best", recording_best)
-        assert truncated_variation_maxfn(f, spec, 128) == want
+        var = truncated_variation_maxfn(f, spec, R)
+        assert stacks and returned and _Recorded.sizes
+        return var, stacks + returned, _Recorded.sizes
+
+    @pytest.mark.parametrize("geometry", ["l1", "cube"])
+    def test_no_array_exceeds_the_budget(self, geometry, monkeypatch):
+        rng = random.Random(geometry)
+        f = _eight_point(rng)
+        spec = BallSpec(geometry, 2)
+        want = truncated_variation_maxfn(f, spec, 128)
+        var, arrays, sizes = self._recorded(f, spec, 128, monkeypatch)
+        assert var == want
         budget = varanalysis._CHUNK_CELLS
-        assert len(f.support) == 8 and stacks and returned and _Recorded.sizes
-        assert max(a.size for a in stacks + returned) <= budget
-        assert max(_Recorded.sizes) <= budget
+        assert len(f.support) == 8
+        assert max(a.size for a in arrays) <= budget
+        assert max(sizes) <= budget
         # the chunks do fill the budget: the widest array, the candidate
         # stack for cube and the distance comparison for l1, passes half of it
-        assert max(_Recorded.sizes) > budget // 2
+        assert max(sizes) > budget // 2
+
+    def test_a_line_past_the_budget_is_cut_into_blocks(self, monkeypatch):
+        # 8 cube points spread over x in [0, 1200]: each line along x has
+        # 1,202 stops, which times the closures is past the budget alone
+        rng = random.Random(1200)
+        points = {(0, 0), (1200, 1)}
+        while len(points) < 8:
+            points.add((rng.randint(0, 1200), rng.randint(-4, 4)))
+        f = GridFunction(2, {p: Q(rng.randint(1, 9), rng.randint(1, 9)) for p in points})
+        closures = maxop.hull_closures(f.support, tuple(f.integer_masses()[0]))
+        stops = sum(map(len, varanalysis._stops(f, 1200)[0]))
+        assert stops == 1202 and stops * len(closures) > varanalysis._CHUNK_CELLS
+        var, arrays, sizes = self._recorded(f, BallSpec("cube", 2), 1200, monkeypatch)
+        budget = varanalysis._CHUNK_CELLS
+        assert max(a.size for a in arrays) <= budget
+        assert max(sizes) <= budget
+        # with twice the budget every line is whole again
+        monkeypatch.undo()
+        monkeypatch.setattr(varanalysis, "_CHUNK_CELLS", 2 * budget)
+        assert truncated_variation_maxfn(f, BallSpec("cube", 2), 1200) == var
+
+    @pytest.mark.parametrize("geometry", ["l1", "cube"])
+    def test_blocks_add_up_to_the_whole_line(self, geometry, monkeypatch):
+        # with no budget to speak of, every block is one edge of one line
+        f = _eight_point(random.Random(geometry))
+        spec = BallSpec(geometry, 2)
+        want = truncated_variation_maxfn(f, spec, 12)
+        monkeypatch.setattr(varanalysis, "_CHUNK_CELLS", 1)
+        blocks = []
+        reduce = varanalysis._add_run_boundaries
+
+        def counting(num, den, acc):
+            blocks.append(num.shape)
+            reduce(num, den, acc)
+
+        monkeypatch.setattr(varanalysis, "_add_run_boundaries", counting)
+        assert truncated_variation_maxfn(f, spec, 12) == want
+        assert set(blocks) == {(1, 2)}
 
 
 class TestSweepPoints:
