@@ -69,13 +69,13 @@ def load_gridfn(path: str) -> GridFunction:
             EXIT_USAGE,
         )
     try:
-        dim = int(doc["dim"])
+        dim = _integer(doc["dim"])
         entries = doc["support"]
         if dim < 1:
             raise ValueError("dim must be >= 1")
         values: dict[tuple[int, ...], Fraction] = {}
         for i, entry in enumerate(entries):
-            point = tuple(int(c) for c in entry["point"])
+            point = tuple(map(_integer, entry["point"]))
             if len(point) != dim:
                 raise ValueError(f"support[{i}]: point has wrong dimension")
             if point in values:
@@ -87,6 +87,12 @@ def load_gridfn(path: str) -> GridFunction:
         return GridFunction(dim, values)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path}: invalid grid function document: {exc}", EXIT_USAGE)
+
+
+def _integer(x) -> int:
+    if isinstance(x, (bool, float)):  # int() would take true as 1 and truncate 2.7
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
 
 
 def dump_gridfn(f: GridFunction) -> dict:

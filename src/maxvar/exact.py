@@ -61,7 +61,10 @@ def decimal_str(q: Fraction, digits: int = 12) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q', integer, or decimal strings into an exact Fraction."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(q: Fraction) -> str:

@@ -38,22 +38,26 @@ evaluator for integer arrays (num, den) with Mf = num / (scale * den).  Each
 line is reduced to its monotone-run boundaries:
 sum_t |v(t+1) - v(t)| = sum_t (s_{t-1} - s_t) v(t), with s_t the exact sign
 of v(t+1) - v(t) found by cross-multiplication, so only local extrema and
-line ends contribute.  Per chunk, the nonzero terms are sorted by
-denominator and totalled per denominator with one grouped integer reduction
-(`np.add.reduceat` over Python ints), and the running totals are updated
-once per distinct denominator; at the end one integer pair (total, scale *
-den) per distinct denominator reaches `exact.tree_sum`, the lcm pair tree.
+line ends contribute.  Per chunk, the nonzero terms join one running pair
+of arrays (denominators, totals), and one stable sort and one
+`np.add.reduceat` total them per denominator again, so no chunk's terms
+outlive it.  Totals stay int64 while a checked bound keeps them below 2^63
+and become Python ints otherwise; at the end one integer pair (total,
+scale * den) per distinct denominator reaches `exact.tree_sum`, the lcm
+pair tree, once per sweep.
 
 Two evaluators feed the driver, chosen from the input alone.  At d = 2, for
-l1 and cube supports of at most `_GRID_SUPPORT_LIMIT` points, a vectorised
-evaluator forms all candidates of the `maxop` kernels as int64 arrays
-stacked along a leading candidate axis -- per support point for l1 (the mass
-within its distance, from one broadcast comparison of the distances, over
-the ball count at that distance), per closed support subset for cube -- and
+l1 and cube supports whose evaluator width (cells per point: s^2 for l1,
+the closure count for cube) leaves room for a block of two stops in
+`_CHUNK_CELLS`, a vectorised evaluator forms all candidates of the `maxop`
+kernels as int64 arrays stacked along a leading candidate axis -- per
+support point for l1 (the mass within its distance, from one broadcast
+comparison of the distances, over the ball count at that distance), per
+closed support subset for cube -- and
 `_best` reduces that axis by an adjacent-pair tournament of
 cross-multiplications, exact while `_grid_products_fit_int64` holds; each
 point keeps the lowest-index maximum, as a sequential scan would.  Every
-other input (d = 1, d >= 3, larger supports, products that could overflow)
+other input (d = 1, d >= 3, wider supports, products that could overflow)
 takes each distinct point's value from `maxop.maximal_value` once, as object
 arrays of Python ints with scale 1.  The lemma is a statement about the
 values of Mf, not about how they are computed, so the compression is exact
@@ -83,11 +87,6 @@ from .gridfn import GridFunction
 from .lattice import Box, LatticePoint
 from .maxop import BallSpec
 
-#: largest support size routed through the vectorised evaluator; the cube
-#: candidates are the closed subsets of `maxop.hull_closures`, at most
-#: 2^s - 1 of them
-_GRID_SUPPORT_LIMIT = 8
-
 #: cells any one array of a chunk may hold, summed over the candidate axis
 #: (s^2 distance comparisons per point for l1): 512 KiB of int64
 _CHUNK_CELLS = 2**16
@@ -109,8 +108,10 @@ def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fracti
     stops = [list(chain(*parts)) for parts in _stops(f, R)]
     if not f:
         return Fraction(0)
-    if f.dim == 2 and len(f.support) <= _GRID_SUPPORT_LIMIT and _grid_products_fit_int64(f, R):
-        return _sweep(*_vectorised_values_2d(f, spec.centered, R), R, stops)
+    if f.dim == 2 and _grid_products_fit_int64(f, R):
+        values, width, scale = _vectorised_values_2d(f, spec.centered, R)
+        if width <= _CHUNK_CELLS // 2:  # room for a block of two stops
+            return _sweep(values, width, scale, R, stops)
     return _sweep(_exact_values(f, spec), 1, 1, R, stops)
 
 
@@ -158,58 +159,62 @@ def _grid_products_fit_int64(f: GridFunction, R: int) -> bool:
 def _sweep(values, width: int, scale: int, R: int, stops: list[list[int]]) -> Fraction:
     """Line sweep reduced exactly per denominator.
 
-    The lines of each axis are evaluated in chunks, one row per line and
-    one column per stop of a block of `cols` stops, consecutive blocks
-    sharing one stop: `values` maps the d coordinate arrays of a chunk,
-    which broadcast to (lines, stops), to integer arrays (num, den) with
-    Mf = num / (scale * den).  `width` is the number of array cells the
-    evaluator forms per point, which sizes the blocks and chunks.
+    The lines of each axis are evaluated in chunks, one row per stop of a
+    block of `block` stops, consecutive blocks sharing one stop, and one
+    column per line, so inner loops run along lines: `values` maps the d
+    coordinate arrays of a chunk, which broadcast to (stops, lines), to
+    integer arrays (num, den) with Mf = num / (scale * den).  `width` is
+    the number of array cells the evaluator forms per point, which sizes
+    the blocks and chunks.
     """
     d = len(stops)
     lines = (2 * R + 1) ** (d - 1)
     # the other d - 1 coordinates of every line of an axis, one column per line
     rests = np.indices((2 * R + 1,) * (d - 1)).reshape(d - 1, lines) - R
-    acc: dict[int, int] = {}
+    dens = totals = np.zeros(0, dtype=np.int64)
     for axis, ts in enumerate(stops):
-        cols = max(2, min(len(ts), _CHUNK_CELLS // width))
-        rows = max(1, _CHUNK_CELLS // (cols * width))
-        for c0 in range(0, max(len(ts) - 1, 1), cols - 1):
-            t = np.array(ts[c0 : c0 + cols], dtype=np.int64)[None, :]
-            for r0 in range(0, lines, rows):
-                coords = [c[r0 : r0 + rows, None] for c in rests]
+        block = max(2, min(len(ts), _CHUNK_CELLS // width))
+        batch = max(1, _CHUNK_CELLS // (block * width))
+        for b0 in range(0, max(len(ts) - 1, 1), block - 1):
+            t = np.array(ts[b0 : b0 + block], dtype=np.int64)[:, None]
+            for l0 in range(0, lines, batch):
+                coords = [c[None, l0 : l0 + batch] for c in rests]
                 coords.insert(axis, t)
-                _add_run_boundaries(*values(coords), acc)
-    return tree_sum((total, dd * scale) for dd, total in sorted(acc.items()) if total)
+                dens, totals = _add_run_boundaries(*values(coords), dens, totals)
+    return tree_sum((n, dd * scale) for n, dd in zip(totals.tolist(), dens.tolist()) if n)
 
 
-def _add_run_boundaries(num, den, acc: dict[int, int]) -> None:
-    """Add each row's run-boundary terms coef_t * num_t to acc[den_t].
+def _add_run_boundaries(num, den, dens, totals):
+    """Merge each column's run-boundary terms coef_t * num_t into the
+    running per-denominator totals (dens, totals), sorted by denominator.
 
-    The variation of a row of values v(t) = num_t / (scale * den_t) is
+    The variation of a column of values v(t) = num_t / (scale * den_t) is
     sum_t coef_t * v(t) with coef_t = s_{t-1} - s_t and s_t the exact sign
     of v(t+1) - v(t), compared by cross-multiplication; coefficients vanish
-    away from monotone-run boundaries.  The nonzero terms are sorted by
-    denominator and totalled per denominator as Python ints, so acc is
-    updated once per distinct denominator.  Works alike on int64 arrays,
-    where |coef_t * num_t| <= 2 max(num) cannot overflow while
-    `_grid_products_fit_int64` holds, and on object arrays of Python ints.
+    away from monotone-run boundaries.  The nonzero terms join the running
+    pair and are totalled per denominator by one stable sort and one
+    grouped reduction.  Works alike on int64 arrays, where
+    |coef_t * num_t| <= 2 max(num) cannot overflow while
+    `_grid_products_fit_int64` holds, and on object arrays of Python ints;
+    totals move to Python ints once their checked bound reaches 2^63.
     """
-    if num.shape[1] < 2:
-        return
-    sign = np.sign(num[:, 1:] * den[:, :-1] - num[:, :-1] * den[:, 1:])
+    sign = np.sign(num[1:] * den[:-1] - num[:-1] * den[1:])
     coef = np.zeros(num.shape, dtype=sign.dtype)
-    coef[:, 1:] += sign
-    coef[:, :-1] -= sign
+    coef[1:] += sign
+    coef[:-1] -= sign
     hit = coef != 0
-    dens = den[hit]
-    if not dens.size:
-        return
+    terms = coef[hit] * num[hit]
+    if not terms.size:
+        return dens, totals
+    # no total grows by more than the sum of the new terms' sizes
+    if terms.dtype != object and (
+            int(abs(totals).max(initial=0)) + int(abs(terms).max()) * terms.size >= 2**63):
+        terms = terms.astype(object)
+    dens = np.concatenate((dens, den[hit]))
     order = np.argsort(dens, kind="stable")
-    dens = dens[order]
-    terms = (coef[hit] * num[hit]).astype(object)[order]
+    dens, terms = dens[order], np.concatenate((totals, terms))[order]
     starts = np.flatnonzero(np.concatenate(([True], dens[1:] != dens[:-1])))
-    for dd, total in zip(dens[starts].tolist(), np.add.reduceat(terms, starts).tolist()):
-        acc[dd] = acc.get(dd, 0) + total
+    return dens[starts], np.add.reduceat(terms, starts)
 
 
 def _exact_values(f: GridFunction, spec: BallSpec):

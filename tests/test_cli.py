@@ -126,6 +126,24 @@ class TestMaxfn:
         r = run_cli("maxfn", "--input", doc, "--geometry", "centered1d", "--box", "1", "--output", str(tmp_path / "o.csv"))
         assert r.returncode == 2
 
+    @pytest.mark.parametrize(
+        "dim, support",
+        [
+            (1, [{"point": [0], "value": "1/0"}]),
+            (2.7, [{"point": [0, 0], "value": "1"}]),
+            (True, [{"point": [0], "value": "1"}]),
+            (2, [{"point": [0.5, 0], "value": "1"}]),
+            (2, [{"point": [True, 0], "value": "1"}]),
+        ],
+        ids=["zero-denominator", "float-dim", "bool-dim", "float-coordinate", "bool-coordinate"],
+    )
+    def test_malformed_numbers_exit_2(self, tmp_path, dim, support):
+        doc = write_doc(tmp_path, "f.json", dim, support)
+        out = tmp_path / "o.csv"
+        r = run_cli("maxfn", "--input", doc, "--geometry", "cube", "--box", "1", "--output", str(out))
+        assert r.returncode == 2 and "Traceback" not in r.stderr
+        assert r.stderr.startswith("error:") and not out.exists()
+
 
 class TestConstant:
     def test_uncentered_dim1(self):
@@ -207,6 +225,12 @@ class TestVerify:
 
     def test_missing_flags_exit_2(self):
         assert run_cli("verify").returncode == 2
+
+    def test_zero_denominator_epsilon_exit_2(self, tmp_path):
+        doc = write_doc(tmp_path, "f.json", 1, [{"point": [0], "value": "1"}])
+        r = run_cli("verify", "--input", doc, "--geometry", "centered1d", "--epsilon", "1/0")
+        assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
+        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
 
     def test_off_origin_input_swept_after_recentering(self, tmp_path):
         # the delta at 100 is measured at the origin, so --rmax 4 covers it

@@ -159,7 +159,7 @@ class TestSweepMatchesReference:
     def test_cube_supports_up_to_grid_limit(self, f, extra):
         spec = BallSpec("cube", 2)
         R = f.support_radius() + extra
-        assert len(f.support) <= varanalysis._GRID_SUPPORT_LIMIT
+        assert len(f.support) <= 8
         assert varanalysis._grid_products_fit_int64(f, R)
         assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
 
@@ -168,7 +168,7 @@ class TestSweepMatchesReference:
     def test_l1_supports_up_to_grid_limit(self, f, extra):
         spec = BallSpec("l1", 2)
         R = f.support_radius() + extra
-        assert len(f.support) <= varanalysis._GRID_SUPPORT_LIMIT
+        assert len(f.support) <= 8
         assert varanalysis._grid_products_fit_int64(f, R)
         assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
 
@@ -189,13 +189,44 @@ class TestSweepMatchesReference:
             assert varanalysis._grid_products_fit_int64(f, R)
             assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
 
-    @settings(SWEEP, max_examples=2)
-    @given(_functions(2, 2, 9, 10), st.integers(0, 9))
-    def test_large_cube_supports_take_exact_evaluator(self, f, extra):
-        assert len(f.support) > varanalysis._GRID_SUPPORT_LIMIT
-        spec = BallSpec("cube", 2)
-        R = f.support_radius() + extra
-        assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
+    @pytest.mark.parametrize("geometry", ["l1", "cube"])
+    def test_large_supports_take_vectorised_evaluator(self, geometry, monkeypatch):
+        # the evaluator's width (s^2 cells for l1, the closure count for
+        # cube), not the support size, decides the path
+
+        def exact_values(*args):
+            raise AssertionError("the exact evaluator was used")
+
+        monkeypatch.setattr(varanalysis, "_exact_values", exact_values)
+        spec = BallSpec(geometry, 2)
+
+        @settings(SWEEP, max_examples=4)
+        @given(_functions(2, 2, 9, 16), st.integers(0, 9))
+        def check(f, extra):
+            R = f.support_radius() + extra
+            assert len(f.support) > 8 and varanalysis._grid_products_fit_int64(f, R)
+            assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
+
+        check()
+
+    @pytest.mark.parametrize("geometry", ["l1", "cube"])
+    def test_large_masses_take_exact_evaluator(self, geometry, monkeypatch):
+        calls = []
+        exact = varanalysis._exact_values
+        monkeypatch.setattr(varanalysis, "_exact_values", lambda *a: calls.append(a) or exact(*a))
+        spec = BallSpec(geometry, 2)
+
+        @settings(SWEEP, max_examples=4)
+        @given(_functions(2, 2, 2, 12), st.integers(0, 9))
+        def check(f, extra):
+            f = f.scale(10**18)
+            R = f.support_radius() + extra
+            assert not varanalysis._grid_products_fit_int64(f, R)
+            calls.clear()
+            assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
+            assert len(calls) == 1
+
+        check()
 
 
 def _run_boundaries_per_entry(num, den, acc):
@@ -212,16 +243,32 @@ def _run_boundaries_per_entry(num, den, acc):
         acc[dd] = acc.get(dd, 0) + c * nn
 
 
+def _running(acc):
+    """Running (denominators, totals) arrays holding the dict acc."""
+    dens, totals = zip(*sorted(acc.items())) if acc else ((), ())
+    return np.array(dens, dtype=np.int64), np.array(totals, dtype=np.int64)
+
+
+def _merged(num, den, dens, totals):
+    """`_add_run_boundaries` on rows of values as a dict, checking that the
+    running arrays stay sorted with one entry per denominator.  The sweep
+    lays a chunk out as (stops, lines), so each row goes in as a column."""
+    dens, totals = varanalysis._add_run_boundaries(num.T, den.T, dens, totals)
+    got = dict(zip(dens.tolist(), totals.tolist()))
+    assert list(got) == sorted(got) and len(got) == len(dens) == len(totals)
+    assert all(type(k) is int and type(v) is int for k, v in got.items())
+    return got, dens, totals
+
+
 class TestRunBoundaryReduction:
     """Grouped per-denominator totals against the per-entry reference."""
 
     @staticmethod
     def _check(num, den, start=None):
-        got, want = dict(start or {}), dict(start or {})
-        varanalysis._add_run_boundaries(num, den, got)
+        want = dict(start or {})
         _run_boundaries_per_entry(num, den, want)
+        got = _merged(num, den, *_running(start or {}))[0]
         assert got == want
-        assert all(type(k) is int and type(v) is int for k, v in got.items())
         return got
 
     @pytest.mark.parametrize("seed", range(12))
@@ -264,6 +311,32 @@ class TestRunBoundaryReduction:
         den = np.array([[big + rng.choice([1, 3]) for _ in range(9)] for _ in range(4)], dtype=object)
         acc = self._check(num, den)
         assert acc and max(abs(v) for v in acc.values()) > 2**63
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_totals_merged_over_chunks_equal_one_pass(self, seed):
+        # chunks of rows, and blocks of columns sharing one column, as the
+        # sweep cuts lines: the boundary terms of a shared column add up
+        rng = np.random.default_rng(50 + seed)
+        num = rng.integers(-3, 4, size=(7, 23)).cumsum(axis=1)
+        den = rng.choice(np.array([1, 2, 3, 5, 8, 13]), size=num.shape)
+        want = {}
+        _run_boundaries_per_entry(num, den, want)
+        dens, totals = _running({})
+        rows, cols = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+        for r0 in range(0, 7, rows):
+            for c0 in range(0, 22, cols - 1):
+                sl = np.s_[r0 : r0 + rows, c0 : c0 + cols]
+                got, dens, totals = _merged(num[sl], den[sl], dens, totals)
+        assert got == want
+
+    def test_running_totals_beyond_2_63(self):
+        # each chunk's own total fits in int64, the running total does not
+        num = np.tile(np.array([0, 2**60, 0], dtype=np.int64), (8, 1))
+        den = np.ones_like(num)
+        dens, totals = _running({})
+        for row in range(8):
+            got, dens, totals = _merged(num[row : row + 1], den[row : row + 1], dens, totals)
+        assert got == {1: 8 * 2**61}
 
 
 def _best_sequential(num, den):
@@ -445,21 +518,52 @@ class TestChunkBudget:
 
     @pytest.mark.parametrize("geometry", ["l1", "cube"])
     def test_blocks_add_up_to_the_whole_line(self, geometry, monkeypatch):
-        # with no budget to speak of, every block is one edge of one line
+        # with the least budget the vectorised evaluator takes, every block
+        # is one edge of one line
         f = _eight_point(random.Random(geometry))
         spec = BallSpec(geometry, 2)
         want = truncated_variation_maxfn(f, spec, 12)
-        monkeypatch.setattr(varanalysis, "_CHUNK_CELLS", 1)
+        width = varanalysis._vectorised_values_2d(f, spec.centered, 12)[1]
+        monkeypatch.setattr(varanalysis, "_CHUNK_CELLS", 2 * width)
         blocks = []
         reduce = varanalysis._add_run_boundaries
 
-        def counting(num, den, acc):
+        def counting(num, den, *running):
             blocks.append(num.shape)
-            reduce(num, den, acc)
+            return reduce(num, den, *running)
 
         monkeypatch.setattr(varanalysis, "_add_run_boundaries", counting)
         assert truncated_variation_maxfn(f, spec, 12) == want
-        assert set(blocks) == {(1, 2)}
+        assert set(blocks) == {(2, 1)}  # (stops, lines)
+
+
+class TestChunkIndependence:
+    @pytest.mark.parametrize(
+        "geometry, d, radius",
+        [
+            ("centered1d", 1, 6),
+            ("uncentered1d", 1, 6),
+            ("l1", 2, 3),
+            ("cube", 2, 3),
+            ("l1", 3, 1),
+            ("cube", 3, 1),
+        ],
+    )
+    def test_value_does_not_depend_on_chunk_cells(self, geometry, d, radius, monkeypatch):
+        spec = BallSpec(geometry, d)
+        budgets = (1, 7, 97, varanalysis._CHUNK_CELLS)
+
+        @settings(SWEEP, max_examples=6)
+        @given(_functions(d, radius, 1, 6), st.integers(0, 4))
+        def check(f, extra):
+            R = f.support_radius() + extra
+            values = set()
+            for cells in budgets:
+                monkeypatch.setattr(varanalysis, "_CHUNK_CELLS", cells)
+                values.add(truncated_variation_maxfn(f, spec, R))
+            assert len(values) == 1
+
+        check()
 
 
 class TestSweepPoints:
@@ -470,9 +574,9 @@ class TestSweepPoints:
         rng = random.Random(d)
         seen = []
         reduce = varanalysis._add_run_boundaries
-        def counting(num, den, acc):
+        def counting(num, den, *running):
             seen.append(num.size)
-            reduce(num, den, acc)
+            return reduce(num, den, *running)
 
         monkeypatch.setattr(varanalysis, "_add_run_boundaries", counting)
         for _ in range(4):
