@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import decimal
+import re
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -59,8 +60,16 @@ def decimal_str(q: Fraction, digits: int = 12) -> str:
     return f"{sign}{int_part}.{frac_part:0{digits}d}"
 
 
+#: most exponent digits `parse_rational` expands: 10^99999 takes milliseconds,
+#: while Fraction would spend hours expanding 1e999999999 before any check
+_EXPONENT_DIGITS = 5
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q', integer, or decimal strings into an exact Fraction."""
+    exponent = re.search(r"e[-+]?([\d_]*)\s*$", text, re.IGNORECASE)
+    if exponent and len(exponent[1].replace("_", "").lstrip("0")) > _EXPONENT_DIGITS:
+        raise ValueError(f"exponent of more than {_EXPONENT_DIGITS} digits in {text!r}")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:

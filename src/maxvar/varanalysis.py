@@ -46,22 +46,22 @@ and become Python ints otherwise; at the end one integer pair (total,
 scale * den) per distinct denominator reaches `exact.tree_sum`, the lcm
 pair tree, once per sweep.
 
-Two evaluators feed the driver, chosen from the input alone.  At d = 2, for
-l1 and cube supports whose evaluator width (cells per point: s^2 for l1,
-the closure count for cube) leaves room for a block of two stops in
-`_CHUNK_CELLS`, a vectorised evaluator forms all candidates of the `maxop`
-kernels as int64 arrays stacked along a leading candidate axis -- per
-support point for l1 (the mass within its distance, from one broadcast
-comparison of the distances, over the ball count at that distance), per
-closed support subset for cube -- and
-`_best` reduces that axis by an adjacent-pair tournament of
-cross-multiplications, exact while `_grid_products_fit_int64` holds; each
-point keeps the lowest-index maximum, as a sequential scan would.  Every
-other input (d = 1, d >= 3, wider supports, products that could overflow)
-takes each distinct point's value from `maxop.maximal_value` once, as object
-arrays of Python ints with scale 1.  The lemma is a statement about the
-values of Mf, not about how they are computed, so the compression is exact
-for both evaluators.
+Two evaluators feed the driver, chosen from the input alone.  The
+vectorised one forms all candidates of the `maxop` kernels as integer arrays
+stacked along a leading candidate axis -- per closed support subset for cube
+at every d, per support point for l1 at d = 2 (the mass within its distance,
+from one broadcast comparison of the distances, over the ball count at that
+distance) -- and `_best` reduces that axis by an adjacent-pair tournament of
+cross-multiplications; each point keeps the lowest-index maximum, as a
+sequential scan would.  Its arrays are int64 while `_grid_products_fit_int64`
+keeps every product exact, and object arrays of Python ints otherwise.  It
+takes every cube input and the l1 inputs at d = 2 whose products fit, if its
+width (cells per point: s^2 for l1, the closure count for cube) leaves room
+for a block of two stops in `_CHUNK_CELLS`.  Every other input (l1 at d != 2
+or with products that could overflow, wider supports) takes each distinct
+point's value from `maxop.maximal_value` once, as object arrays with scale
+1.  The lemma is a statement about the values of Mf, not about how they are
+computed, so the compression is exact for both evaluators.
 
 Cost: d (2R+1)^(d-1) lines of at most span + 2 points each (`sweep_points`),
 span being the support's extent along the line's axis, times C candidates
@@ -78,6 +78,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product
+from math import prod
 
 import numpy as np
 
@@ -108,8 +109,9 @@ def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fracti
     stops = [list(chain(*parts)) for parts in _stops(f, R)]
     if not f:
         return Fraction(0)
-    if f.dim == 2 and _grid_products_fit_int64(f, R):
-        values, width, scale = _vectorised_values_2d(f, spec.centered, R)
+    fits = _grid_products_fit_int64(f, R)
+    if not spec.centered or (f.dim == 2 and fits):
+        values, width, scale = _vectorised_values(f, spec.centered, R, np.int64 if fits else object)
         if width <= _CHUNK_CELLS // 2:  # room for a block of two stops
             return _sweep(values, width, scale, R, stops)
     return _sweep(_exact_values(f, spec), 1, 1, R, stops)
@@ -144,14 +146,15 @@ def _grid_products_fit_int64(f: GridFunction, R: int) -> bool:
 
     The largest numerator is the scaled total mass, the largest denominator
     the largest ball/box count reachable inside the sweep; their product is
-    the biggest value formed.  Falls back to the exact evaluator otherwise.
+    the biggest value formed.  Otherwise cube runs on object arrays and l1
+    takes the exact evaluator.
     """
     masses, _ = f.integer_masses()
     max_num = sum(masses)
-    span = f.support_radius()
+    span, d = f.support_radius(), f.dim
     max_den = max(
-        lattice.l1_ball_count(2, 2 * R + 2 * span + 2),
-        (2 * R + 2 * span + 2) ** 2,
+        lattice.l1_ball_count(d, d * (R + span) + 2),
+        (2 * R + 2 * span + 2) ** d,
     )
     return max_num * max_den < 2**62
 
@@ -239,15 +242,17 @@ def _exact_values(f: GridFunction, spec: BallSpec):
     return values
 
 
-# -- vectorised 2-D evaluator -------------------------------------------------
+# -- vectorised evaluator ----------------------------------------------------
 
-def _vectorised_values_2d(f: GridFunction, centered: bool, R: int):
-    """Evaluator of int64 values at d = 2, with its width and scale.
+def _vectorised_values(f: GridFunction, centered: bool, R: int, dtype):
+    """Evaluator of integer values (l1 at d = 2, cube at any d), with its
+    width and scale.
 
-    The candidates at points (x, y) are integer (num, den) arrays stacked
-    along a leading axis, num possibly broadcasting along the point axes; Mf
-    is the largest num / (scale * den), which `_best` picks.  `width` is the
-    widest array's cells per point.  Tables are built once per sweep.
+    The candidates at the points of a chunk are (num, den) arrays of `dtype`
+    (int64, or object for Python ints) stacked along a leading axis, num
+    possibly broadcasting along the point axes; Mf is the largest
+    num / (scale * den), which `_best` picks.  `width` is the widest array's
+    cells per point.  Tables are built once per sweep.
     """
     masses, scale = f.integer_masses()
     if centered:
@@ -257,11 +262,17 @@ def _vectorised_values_2d(f: GridFunction, centered: bool, R: int):
         candidates = partial(_l1_candidates_2d, px, py, np.array(masses, dtype=np.int64), ntab)
         width = len(masses) ** 2
     else:
+        d = f.dim
         closures = maxop.hull_closures(f.support, tuple(masses))
         mass, lower, upper = zip(*closures)
-        columns = np.array([mass, *zip(*lower), *zip(*upper)], dtype=np.int64)[:, :, None, None]
+        columns = np.array([mass, *zip(*lower), *zip(*upper)], dtype=dtype)[:, :, None, None]
         columns.flags.writeable = False  # shared by every chunk of the sweep
-        candidates = partial(_cube_candidates_2d, *columns)
+        # e_j (e_j - 1)^|T| prod_{i not in T, i != j} e_i per axis j and nonempty
+        # subset T of the other axes, as (j, |T|, the other axes not in T)
+        terms = [(j, sum(cut), [i for i, c in enumerate(cut) if i != j and not c])
+                 for j in range(d) for cut in product((0, 1), repeat=d) if any(cut) and not cut[j]]
+        rows = list(columns)  # row views formed once, not per chunk
+        candidates = partial(_cube_candidates, terms, rows[0], rows[1 : d + 1], rows[d + 1 :])
         width = len(closures)
     return (lambda coords: _best(*candidates(*coords))), width, scale
 
@@ -298,16 +309,19 @@ def _l1_candidates_2d(px, py, masses, ntab, x, y):
     return np.einsum("ji...,i->j...", within, masses), ntab[dist]
 
 
-def _cube_candidates_2d(mass, mnx, mny, mxx, mxy, x, y):
+def _cube_candidates(terms, mass, lower, upper, *coords):
     """Per closed support subset S of `maxop.hull_closures`, stacked: its
     mass over the least count of an admissible box around the hull of S and
-    (x, y).  For hull extents a, b that count, max(a, b) times
-    max(min(a, b), max(a, b) - 1), is max(ab, a(a - 1), b(b - 1))."""
-    ex = np.maximum(mxx, x) - np.minimum(mnx, x) + 1
-    ey = np.maximum(mxy, y) - np.minimum(mny, y) + 1
-    den = ex * ey
-    np.maximum(den, ex * (ex - 1), out=den)
-    np.maximum(den, ey * (ey - 1), out=den)
+    the point.  For hull extents e with M = max(e), that count is
+    prod_i max(e_i, M - 1) = M^k (M - 1)^(d - k), k = #{i : e_i = M}.  No
+    product in `terms` exceeds it, and the one with e_j = M and T the axes
+    with e_i < M - 1 equals it (prod e does when T is empty), so it is their
+    largest.  At d = 2 they are ab, a(a - 1) and b(b - 1): only ab is formed
+    at full size, the others broadcast along the stops or the lines."""
+    e = [np.maximum(hi, c) - np.minimum(lo, c) + 1 for lo, hi, c in zip(lower, upper, coords)]
+    den = prod(e[1:], start=e[0])
+    for j, k, kept in terms:
+        np.maximum(den, prod([e[j] - 1] * k + [e[i] for i in kept], start=e[j]), out=den)
     return mass, den
 
 

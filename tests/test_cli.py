@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -134,8 +135,10 @@ class TestMaxfn:
             (True, [{"point": [0], "value": "1"}]),
             (2, [{"point": [0.5, 0], "value": "1"}]),
             (2, [{"point": [True, 0], "value": "1"}]),
+            (1, [{"point": [0], "value": "1e999999999"}]),
         ],
-        ids=["zero-denominator", "float-dim", "bool-dim", "float-coordinate", "bool-coordinate"],
+        ids=["zero-denominator", "float-dim", "bool-dim", "float-coordinate", "bool-coordinate",
+             "huge-exponent"],
     )
     def test_malformed_numbers_exit_2(self, tmp_path, dim, support):
         doc = write_doc(tmp_path, "f.json", dim, support)
@@ -229,6 +232,15 @@ class TestVerify:
     def test_zero_denominator_epsilon_exit_2(self, tmp_path):
         doc = write_doc(tmp_path, "f.json", 1, [{"point": [0], "value": "1"}])
         r = run_cli("verify", "--input", doc, "--geometry", "centered1d", "--epsilon", "1/0")
+        assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
+        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("epsilon", ["1e999999999", "1e-999999999"])
+    def test_huge_exponent_epsilon_exit_2(self, tmp_path, epsilon):
+        doc = write_doc(tmp_path, "f.json", 1, [{"point": [0], "value": "1"}])
+        start = time.perf_counter()
+        r = run_cli("verify", "--input", doc, "--geometry", "centered1d", "--epsilon", epsilon)
+        assert time.perf_counter() - start < 10  # the process start included
         assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
         assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
 

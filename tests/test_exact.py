@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxvar.exact import format_rational, tree_sum
+from maxvar.exact import format_rational, parse_rational, tree_sum
 
 Q = Fraction
 
@@ -100,3 +101,26 @@ class TestFormatRational:
         finally:
             sys.set_int_max_str_digits(old)
         assert s == "1" + "0" * 4999 + "1/3"
+
+
+class TestParseRational:
+    @pytest.mark.parametrize(
+        "text",
+        ["3/4", " -7 ", "1.5E-3", "2e+0_1", "-4.25e3", "1e99999", "1e-099999", "1e0000000000001", "1e-0_0_0_0_0_0_1"],
+    )
+    def test_accepted_inputs_equal_fraction(self, text):
+        assert parse_rational(text) == Q(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e100000", "-1e-100000", "1e999999999", "2.5E-999999999", "1e1_000_000", "1e" + "9" * 10**6],
+    )
+    def test_huge_exponents_refused_fast(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rational(text)
+        assert time.perf_counter() - start < 0.1
+
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational("1/0")

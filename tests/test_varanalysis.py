@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -126,6 +127,19 @@ def _functions(d, radius, min_size, max_size):
     )
 
 
+def _no_exact_values(*args):
+    raise AssertionError("the exact evaluator was used")
+
+
+def _spread(d, rng, points, reach):
+    """`points` cube support points with positive masses, spread over
+    [0, reach] on the first axis and [-2, 2] on the others."""
+    support = {(0,) + (0,) * (d - 1), (reach,) + (1,) * (d - 1)}
+    while len(support) < points:
+        support.add((rng.randint(0, reach), *(rng.randint(-2, 2) for _ in range(d - 1))))
+    return GridFunction(d, {p: Q(rng.randint(1, 9), rng.randint(1, 9)) for p in support})
+
+
 class TestSweepMatchesReference:
     """The monotone-tail sweep against the literal edge sum over the box,
     on signed inputs, at truncation radii from the support radius up to
@@ -193,11 +207,7 @@ class TestSweepMatchesReference:
     def test_large_supports_take_vectorised_evaluator(self, geometry, monkeypatch):
         # the evaluator's width (s^2 cells for l1, the closure count for
         # cube), not the support size, decides the path
-
-        def exact_values(*args):
-            raise AssertionError("the exact evaluator was used")
-
-        monkeypatch.setattr(varanalysis, "_exact_values", exact_values)
+        monkeypatch.setattr(varanalysis, "_exact_values", _no_exact_values)
         spec = BallSpec(geometry, 2)
 
         @settings(SWEEP, max_examples=4)
@@ -209,7 +219,49 @@ class TestSweepMatchesReference:
 
         check()
 
-    @pytest.mark.parametrize("geometry", ["l1", "cube"])
+    @pytest.mark.parametrize(
+        "geometry, d, radius", [("uncentered1d", 1, 6), ("cube", 1, 6), ("cube", 3, 1)]
+    )
+    def test_cube_sweeps_take_vectorised_evaluator(self, geometry, d, radius, monkeypatch):
+        monkeypatch.setattr(varanalysis, "_exact_values", _no_exact_values)
+        spec = BallSpec(geometry, d)
+
+        @settings(SWEEP, max_examples=10)
+        @given(_functions(d, radius, 1, 6), st.integers(0, 9))
+        def check(f, extra):
+            R = f.support_radius() + extra
+            assert varanalysis._grid_products_fit_int64(f, R)
+            assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
+
+        check()
+
+    @pytest.mark.parametrize("d, radius, max_size", [(1, 6, 6), (2, 2, 12), (3, 1, 4)])
+    def test_large_masses_take_object_arrays(self, d, radius, max_size, monkeypatch):
+        # products that could pass int64: the same evaluator on Python ints
+        monkeypatch.setattr(varanalysis, "_exact_values", _no_exact_values)
+        dtypes = []
+        reduce = varanalysis._add_run_boundaries
+
+        def recording(num, den, *running):
+            dtypes.append(den.dtype)
+            return reduce(num, den, *running)
+
+        monkeypatch.setattr(varanalysis, "_add_run_boundaries", recording)
+        spec = BallSpec("cube", d)
+
+        @settings(SWEEP, max_examples=4)
+        @given(_functions(d, radius, 2, max_size), st.integers(0, 9))
+        def check(f, extra):
+            f = f.scale(10**18)
+            R = f.support_radius() + extra
+            assert not varanalysis._grid_products_fit_int64(f, R)
+            dtypes.clear()
+            assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
+            assert set(dtypes) == {np.dtype(object)}
+
+        check()
+
+    @pytest.mark.parametrize("geometry", ["l1"])
     def test_large_masses_take_exact_evaluator(self, geometry, monkeypatch):
         calls = []
         exact = varanalysis._exact_values
@@ -416,7 +468,7 @@ class TestTournament:
     def test_single_point_chunks_leave_the_cube_masses_intact(self):
         # the cube masses are shared by every chunk of a sweep
         f = _eight_point(random.Random(3))
-        values, _, scale = varanalysis._vectorised_values_2d(f, False, 6)
+        values, _, scale = varanalysis._vectorised_values(f, False, 6, np.int64)
         for x, y in [(0, 0), (-6, 2), (0, 0), (5, -1)]:
             num, den = values([np.array([[x]]), np.array([[y]])])
             got = Q(int(num[0, 0]), scale * int(den[0, 0]))
@@ -427,6 +479,46 @@ class TestTournament:
         num = np.full((1, 1, 1), 5, dtype=np.int64)
         bn, bd = varanalysis._best(num, den)
         assert np.shares_memory(bd, den) and np.shares_memory(bn, num)
+
+
+class TestCubeCount:
+    """The cube evaluator's candidate counts, one per closed support subset,
+    against the kernel's minimal admissible boxes and the closed form."""
+
+    @pytest.mark.parametrize("d, radius", [(1, 6), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_counts_match_the_kernel_and_the_closed_form(self, d, radius, dtype, monkeypatch):
+        stacks = []
+        best = varanalysis._best
+
+        def recording_best(num, den):
+            stacks.append(den.copy())  # the rounds consume their input
+            return best(num, den)
+
+        monkeypatch.setattr(varanalysis, "_best", recording_best)
+
+        @settings(SWEEP, max_examples=15)
+        @given(
+            _functions(d, radius, 1, 6),
+            st.tuples(*[st.integers(-radius - 3, radius + 3)] * d),
+        )
+        def check(f, n):
+            masses, _ = f.integer_masses()
+            values = varanalysis._vectorised_values(f, False, radius + 3, dtype)[0]
+            stacks.clear()
+            values([np.array([[c]]) for c in n])
+            assert stacks[0].dtype == np.dtype(dtype)
+            got = [int(c) for c in stacks[0][:, 0, 0]]
+            assert got == [box[1] for box in maxop._subset_boxes(f.support, masses, n)]
+            want = []
+            for _, lower, upper in maxop.hull_closures(f.support, tuple(masses)):
+                e = [max(h, c) - min(l, c) + 1 for l, h, c in zip(lower, upper, n)]
+                m = max(e)
+                k = e.count(m)
+                want.append(m**k * (m - 1) ** (d - k))
+            assert got == want
+
+        check()
 
 
 def _eight_point(rng):
@@ -457,7 +549,7 @@ class TestChunkBudget:
         stacks, the evaluator's results and the sizes of all arrays derived
         from the coordinates."""
         stacks, returned = [], []
-        evaluator, best = varanalysis._vectorised_values_2d, varanalysis._best
+        evaluator, best = varanalysis._vectorised_values, varanalysis._best
 
         def recording_evaluator(*args):
             values, width, scale = evaluator(*args)
@@ -474,7 +566,7 @@ class TestChunkBudget:
             return best(num, den)
 
         monkeypatch.setattr(_Recorded, "sizes", [])
-        monkeypatch.setattr(varanalysis, "_vectorised_values_2d", recording_evaluator)
+        monkeypatch.setattr(varanalysis, "_vectorised_values", recording_evaluator)
         monkeypatch.setattr(varanalysis, "_best", recording_best)
         var = truncated_variation_maxfn(f, spec, R)
         assert stacks and returned and _Recorded.sizes
@@ -495,6 +587,23 @@ class TestChunkBudget:
         # the chunks do fill the budget: the widest array, the candidate
         # stack for cube and the distance comparison for l1, passes half of it
         assert max(sizes) > budget // 2
+
+    @pytest.mark.parametrize("d, points, reach, R", [(1, 8, 4000, 4000), (2, 8, 4, 128), (3, 6, 2, 12)])
+    @pytest.mark.parametrize("scale", [1, 10**18], ids=["int64", "object"])
+    def test_cube_arrays_stay_within_the_budget(self, d, points, reach, R, scale, monkeypatch):
+        f = _spread(d, random.Random(d), points, reach).scale(scale)
+        spec = BallSpec("cube", d)
+        assert varanalysis._grid_products_fit_int64(f, R) == (scale == 1)
+        want = varanalysis._sweep(
+            varanalysis._exact_values(f, spec), 1, 1, R,
+            [list(chain(*parts)) for parts in varanalysis._stops(f, R)],
+        )
+        var, arrays, sizes = self._recorded(f, spec, R, monkeypatch)
+        assert var == want
+        assert {a.dtype for a in arrays} == {np.dtype(np.int64 if scale == 1 else object)}
+        budget = varanalysis._CHUNK_CELLS
+        assert max(a.size for a in arrays) <= budget
+        assert budget // 2 < max(sizes) <= budget
 
     def test_a_line_past_the_budget_is_cut_into_blocks(self, monkeypatch):
         # 8 cube points spread over x in [0, 1200]: each line along x has
@@ -523,7 +632,7 @@ class TestChunkBudget:
         f = _eight_point(random.Random(geometry))
         spec = BallSpec(geometry, 2)
         want = truncated_variation_maxfn(f, spec, 12)
-        width = varanalysis._vectorised_values_2d(f, spec.centered, 12)[1]
+        width = varanalysis._vectorised_values(f, spec.centered, 12, np.int64)[1]
         monkeypatch.setattr(varanalysis, "_CHUNK_CELLS", 2 * width)
         blocks = []
         reduce = varanalysis._add_run_boundaries
@@ -543,6 +652,7 @@ class TestChunkIndependence:
         [
             ("centered1d", 1, 6),
             ("uncentered1d", 1, 6),
+            ("cube", 1, 6),
             ("l1", 2, 3),
             ("cube", 2, 3),
             ("l1", 3, 1),
@@ -550,13 +660,22 @@ class TestChunkIndependence:
         ],
     )
     def test_value_does_not_depend_on_chunk_cells(self, geometry, d, radius, monkeypatch):
-        spec = BallSpec(geometry, d)
+        self._check(BallSpec(geometry, d), radius, 1, monkeypatch)
+
+    @pytest.mark.parametrize("d, radius", [(1, 6), (2, 3), (3, 1)])
+    def test_object_arrays_do_not_depend_on_chunk_cells(self, d, radius, monkeypatch):
+        self._check(BallSpec("cube", d), radius, 10**18, monkeypatch)
+
+    @staticmethod
+    def _check(spec, radius, scale, monkeypatch):
         budgets = (1, 7, 97, varanalysis._CHUNK_CELLS)
 
         @settings(SWEEP, max_examples=6)
-        @given(_functions(d, radius, 1, 6), st.integers(0, 4))
+        @given(_functions(spec.dim, radius, 1, 6), st.integers(0, 4))
         def check(f, extra):
+            f = f.scale(scale)
             R = f.support_radius() + extra
+            assert varanalysis._grid_products_fit_int64(f, R) == (scale == 1)
             values = set()
             for cells in budgets:
                 monkeypatch.setattr(varanalysis, "_CHUNK_CELLS", cells)
