@@ -67,13 +67,16 @@ _EXPONENT_DIGITS = 5
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q', integer, or decimal strings into an exact Fraction."""
+    shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."  # bounded message
     exponent = re.search(r"e[-+]?([\d_]*)\s*$", text, re.IGNORECASE)
     if exponent and len(exponent[1].replace("_", "").lstrip("0")) > _EXPONENT_DIGITS:
-        raise ValueError(f"exponent of more than {_EXPONENT_DIGITS} digits in {text!r}")
+        raise ValueError(f"exponent of more than {_EXPONENT_DIGITS} digits in {shown}")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {shown}") from None
+    except ValueError:  # Fraction's own message would quote the whole text
+        raise ValueError(f"not a rational number, or too many digits: {shown}") from None
 
 
 def format_rational(q: Fraction) -> str:

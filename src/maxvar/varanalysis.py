@@ -109,8 +109,8 @@ def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fracti
     stops = [list(chain(*parts)) for parts in _stops(f, R)]
     if not f:
         return Fraction(0)
-    fits = _grid_products_fit_int64(f, R)
-    if not spec.centered or (f.dim == 2 and fits):
+    fits = (not spec.centered or f.dim == 2) and _grid_products_fit_int64(f, spec.centered, R)
+    if not spec.centered or fits:
         values, width, scale = _vectorised_values(f, spec.centered, R, np.int64 if fits else object)
         if width <= _CHUNK_CELLS // 2:  # room for a block of two stops
             return _sweep(values, width, scale, R, stops)
@@ -141,22 +141,20 @@ def _stops(f: GridFunction, R: int) -> list[tuple[range, range, range]]:
     ]
 
 
-def _grid_products_fit_int64(f: GridFunction, R: int) -> bool:
+def _grid_products_fit_int64(f: GridFunction, centered: bool, R: int) -> bool:
     """Cross-multiplied comparisons must stay exact in int64.
 
     The largest numerator is the scaled total mass, the largest denominator
-    the largest ball/box count reachable inside the sweep; their product is
-    the biggest value formed.  Otherwise cube runs on object arrays and l1
-    takes the exact evaluator.
+    the largest ball (`centered`) or box count reachable inside the sweep;
+    their product is the biggest value formed.  Otherwise cube runs on
+    object arrays and l1 takes the exact evaluator.  The box bound costs
+    O(1) at any R, the ball count is looked up only for l1.
     """
     masses, _ = f.integer_masses()
-    max_num = sum(masses)
     span, d = f.support_radius(), f.dim
-    max_den = max(
-        lattice.l1_ball_count(d, d * (R + span) + 2),
-        (2 * R + 2 * span + 2) ** d,
-    )
-    return max_num * max_den < 2**62
+    box = (2 * R + 2 * span + 2) ** d
+    max_den = lattice.l1_ball_count(d, d * (R + span) + 2) if centered else box
+    return sum(masses) * max_den < 2**62
 
 
 def _sweep(values, width: int, scale: int, R: int, stops: list[list[int]]) -> Fraction:

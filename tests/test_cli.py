@@ -136,9 +136,10 @@ class TestMaxfn:
             (2, [{"point": [0.5, 0], "value": "1"}]),
             (2, [{"point": [True, 0], "value": "1"}]),
             (1, [{"point": [0], "value": "1e999999999"}]),
+            (1, [{"point": [0], "value": "1e" + "9" * 10**6}]),
         ],
         ids=["zero-denominator", "float-dim", "bool-dim", "float-coordinate", "bool-coordinate",
-             "huge-exponent"],
+             "huge-exponent", "million-digit-exponent"],
     )
     def test_malformed_numbers_exit_2(self, tmp_path, dim, support):
         doc = write_doc(tmp_path, "f.json", dim, support)
@@ -146,6 +147,7 @@ class TestMaxfn:
         r = run_cli("maxfn", "--input", doc, "--geometry", "cube", "--box", "1", "--output", str(out))
         assert r.returncode == 2 and "Traceback" not in r.stderr
         assert r.stderr.startswith("error:") and not out.exists()
+        assert len(r.stderr.splitlines()) == 1 and len(r.stderr) < 200  # the input cut short
 
 
 class TestConstant:
@@ -235,7 +237,9 @@ class TestVerify:
         assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
         assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
 
-    @pytest.mark.parametrize("epsilon", ["1e999999999", "1e-999999999"])
+    @pytest.mark.parametrize(
+        "epsilon", ["1e999999999", "1e-999999999", "1e" + "9" * 10**5], ids=["big", "small", "long"]
+    )
     def test_huge_exponent_epsilon_exit_2(self, tmp_path, epsilon):
         doc = write_doc(tmp_path, "f.json", 1, [{"point": [0], "value": "1"}])
         start = time.perf_counter()
@@ -243,6 +247,7 @@ class TestVerify:
         assert time.perf_counter() - start < 10  # the process start included
         assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
         assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+        assert len(r.stderr) < 200
 
     def test_off_origin_input_swept_after_recentering(self, tmp_path):
         # the delta at 100 is measured at the origin, so --rmax 4 covers it

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import chain
 
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxvar import constants, maxop, varanalysis
+from maxvar import constants, lattice, maxop, varanalysis
 from maxvar.gridfn import GridFunction, line_restriction
 from maxvar.lattice import l1_shell_count
 from maxvar.maxop import BallSpec, evaluate_on_box, maximal_value
 from maxvar.oracle import brute_variation
+from maxvar.verify import verify_uncentered_var_bound_1d
 from maxvar.varanalysis import (
     LatticeLine,
     adaptive_variation,
@@ -88,11 +90,11 @@ class TestTruncatedVariation:
             (2, 0): Q(1, 10**9 + 21),
         }
         f = GridFunction(2, vals)
-        assert not varanalysis._grid_products_fit_int64(f, 5)
+        assert not varanalysis._grid_products_fit_int64(f, True, 5)
         spec = BallSpec("l1", 2)
         assert truncated_variation_maxfn(f, spec, 4) == _box_reference(f, spec, 4)
         assert varanalysis._grid_products_fit_int64(
-            GridFunction(2, {(0, 0): Q(1, 2)}), 1000
+            GridFunction(2, {(0, 0): Q(1, 2)}), True, 1000
         )
         for geom in ("l1", "cube"):
             spec = BallSpec(geom, 2)
@@ -174,7 +176,7 @@ class TestSweepMatchesReference:
         spec = BallSpec("cube", 2)
         R = f.support_radius() + extra
         assert len(f.support) <= 8
-        assert varanalysis._grid_products_fit_int64(f, R)
+        assert varanalysis._grid_products_fit_int64(f, False, R)
         assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
 
     @settings(SWEEP, max_examples=6)
@@ -183,7 +185,7 @@ class TestSweepMatchesReference:
         spec = BallSpec("l1", 2)
         R = f.support_radius() + extra
         assert len(f.support) <= 8
-        assert varanalysis._grid_products_fit_int64(f, R)
+        assert varanalysis._grid_products_fit_int64(f, True, R)
         assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
 
     @pytest.mark.parametrize(
@@ -200,7 +202,7 @@ class TestSweepMatchesReference:
         f = GridFunction(2, values)
         spec = BallSpec("l1", 2)
         for R in (f.support_radius(), f.support_radius() + 3):
-            assert varanalysis._grid_products_fit_int64(f, R)
+            assert varanalysis._grid_products_fit_int64(f, True, R)
             assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
 
     @pytest.mark.parametrize("geometry", ["l1", "cube"])
@@ -214,7 +216,8 @@ class TestSweepMatchesReference:
         @given(_functions(2, 2, 9, 16), st.integers(0, 9))
         def check(f, extra):
             R = f.support_radius() + extra
-            assert len(f.support) > 8 and varanalysis._grid_products_fit_int64(f, R)
+            assert len(f.support) > 8
+            assert varanalysis._grid_products_fit_int64(f, spec.centered, R)
             assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
 
         check()
@@ -230,14 +233,28 @@ class TestSweepMatchesReference:
         @given(_functions(d, radius, 1, 6), st.integers(0, 9))
         def check(f, extra):
             R = f.support_radius() + extra
-            assert varanalysis._grid_products_fit_int64(f, R)
+            assert varanalysis._grid_products_fit_int64(f, False, R)
             assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
 
         check()
 
+    @pytest.mark.parametrize("geometry", ["uncentered1d", "cube"])
+    def test_cube_sweeps_at_huge_radius_cost_o_of_the_support(self, geometry):
+        # the int64 check of a cube sweep is O(1) at any R: it builds no
+        # ball-count table up to d (R + span), as the l1 bound would
+        f = GridFunction(1, {(0,): Q(1), (3,): Q(-1, 2), (5,): Q(2, 3)})
+        start = time.perf_counter()
+        var = truncated_variation_maxfn(f, BallSpec(geometry, 1), 10**8)
+        if geometry == "uncentered1d":
+            assert verify_uncentered_var_bound_1d(f, 10**8).maxfn_var_truncated == var
+        assert time.perf_counter() - start < 1
+        assert var >= truncated_variation_maxfn(f, BallSpec(geometry, 1), 14)
+        assert all(len(row) < 10**8 for row in lattice._counts.values())
+
     @pytest.mark.parametrize("d, radius, max_size", [(1, 6, 6), (2, 2, 12), (3, 1, 4)])
     def test_large_masses_take_object_arrays(self, d, radius, max_size, monkeypatch):
-        # products that could pass int64: the same evaluator on Python ints
+        # products that could pass int64: the same evaluator on Python ints;
+        # 10^19 times any box count, 2 or more, passes 2^62
         monkeypatch.setattr(varanalysis, "_exact_values", _no_exact_values)
         dtypes = []
         reduce = varanalysis._add_run_boundaries
@@ -252,9 +269,9 @@ class TestSweepMatchesReference:
         @settings(SWEEP, max_examples=4)
         @given(_functions(d, radius, 2, max_size), st.integers(0, 9))
         def check(f, extra):
-            f = f.scale(10**18)
+            f = f.scale(10**19)
             R = f.support_radius() + extra
-            assert not varanalysis._grid_products_fit_int64(f, R)
+            assert not varanalysis._grid_products_fit_int64(f, False, R)
             dtypes.clear()
             assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
             assert set(dtypes) == {np.dtype(object)}
@@ -273,7 +290,7 @@ class TestSweepMatchesReference:
         def check(f, extra):
             f = f.scale(10**18)
             R = f.support_radius() + extra
-            assert not varanalysis._grid_products_fit_int64(f, R)
+            assert not varanalysis._grid_products_fit_int64(f, True, R)
             calls.clear()
             assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
             assert len(calls) == 1
@@ -589,11 +606,11 @@ class TestChunkBudget:
         assert max(sizes) > budget // 2
 
     @pytest.mark.parametrize("d, points, reach, R", [(1, 8, 4000, 4000), (2, 8, 4, 128), (3, 6, 2, 12)])
-    @pytest.mark.parametrize("scale", [1, 10**18], ids=["int64", "object"])
+    @pytest.mark.parametrize("scale", [1, 10**19], ids=["int64", "object"])
     def test_cube_arrays_stay_within_the_budget(self, d, points, reach, R, scale, monkeypatch):
         f = _spread(d, random.Random(d), points, reach).scale(scale)
         spec = BallSpec("cube", d)
-        assert varanalysis._grid_products_fit_int64(f, R) == (scale == 1)
+        assert varanalysis._grid_products_fit_int64(f, False, R) == (scale == 1)
         want = varanalysis._sweep(
             varanalysis._exact_values(f, spec), 1, 1, R,
             [list(chain(*parts)) for parts in varanalysis._stops(f, R)],
@@ -664,7 +681,7 @@ class TestChunkIndependence:
 
     @pytest.mark.parametrize("d, radius", [(1, 6), (2, 3), (3, 1)])
     def test_object_arrays_do_not_depend_on_chunk_cells(self, d, radius, monkeypatch):
-        self._check(BallSpec("cube", d), radius, 10**18, monkeypatch)
+        self._check(BallSpec("cube", d), radius, 10**19, monkeypatch)
 
     @staticmethod
     def _check(spec, radius, scale, monkeypatch):
@@ -675,7 +692,7 @@ class TestChunkIndependence:
         def check(f, extra):
             f = f.scale(scale)
             R = f.support_radius() + extra
-            assert varanalysis._grid_products_fit_int64(f, R) == (scale == 1)
+            assert varanalysis._grid_products_fit_int64(f, spec.centered, R) == (scale == 1)
             values = set()
             for cells in budgets:
                 monkeypatch.setattr(varanalysis, "_CHUNK_CELLS", cells)
