@@ -20,10 +20,10 @@ runs for fixed inputs and seeds.
 Exit codes: 0 success, 1 property violation, 2 bad arguments or parse
 failure, 3 enumeration cap exceeded, 4 geometry/dimension mismatch.  The cap
 (MAXVAR_ENUM_CAP) bounds the points `count --enumerate` lists and, checked
-before any work, the entries the lattice count memo of `count` would hold,
-the (2R+1)^d points of `maxfn --box`, the terms of `constant --terms`, and
-the points the line sweep evaluates for `verify` at --rmax and for `scan`
-at --box.
+before any work, 2(d+1)(k+1) for `count`, which bounds its closed form's
+min(d, k) steps times their O(d + k)-bit integers, the (2R+1)^d points of
+`maxfn --box`, the terms of `constant --terms`, and the points the line
+sweep evaluates for `verify` at --rmax and for `scan` at --box.
 """
 
 from __future__ import annotations
@@ -125,11 +125,13 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.dim < 1 or args.radius < 0:
         raise CliError("need --dim >= 1 and --radius >= 0", EXIT_USAGE)
     cap = _enum_cap()
-    # the memo keeps counts and prefix sums of every dimension up to dim
-    entries = 2 * (args.dim + 1) * (args.radius + 1)
-    if entries > cap:
+    # the closed form takes min(d, k) steps on integers of O(d + k) bits,
+    # at most 2dk of both together, which 2(d+1)(k+1) bounds
+    work = 2 * (args.dim + 1) * (args.radius + 1)
+    if work > cap:
         raise CliError(
-            f"counting to radius {args.radius} memoises {entries} entries, cap is {cap}", EXIT_CAP
+            f"counting to radius {args.radius} costs up to {work} steps times bits, cap is {cap}",
+            EXIT_CAP,
         )
     print(lattice.l1_ball_count(args.dim, args.radius))
     if args.enumerate:

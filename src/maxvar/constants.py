@@ -36,9 +36,10 @@ nonnegative coefficients after substituting k -> k0 + t (nonnegative
 coefficients in t give nonnegativity for every real t >= 0, hence every
 integer k >= k0).  The tail beyond K >= k0 - 1 then telescopes to at most
 c / (K+1).  The numerator/denominator polynomials come from Lagrange
-interpolation of the counting recurrence: the dilation count of an integral
-polytope is a polynomial of degree d (Ehrhart), so agreement with the
-recurrence on d + 41 sample points pins it down exactly.
+interpolation of `lattice.l1_ball_count`, the binomial sum
+sum_i 2^i C(d, i) C(k, i): the dilation count of an integral polytope is a
+polynomial of degree d (Ehrhart), so agreement with that count on d + 41
+sample points pins it down exactly.
 """
 
 from __future__ import annotations
@@ -175,7 +176,9 @@ def _ptrim(a: Poly) -> Poly:
 
 @cache
 def _count_poly(d: int) -> Poly:
-    """The degree-d polynomial with p(k) = N(d, k) for all integers k >= 0."""
+    """The degree-d polynomial with p(k) = N(d, k) for all integers k >= 0,
+    interpolated on k = 0..d and checked against `lattice.l1_ball_count`
+    on k = 0..d + 40."""
     if d == 0:
         return (1,)
     xs = list(range(d + 1))

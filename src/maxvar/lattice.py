@@ -2,14 +2,16 @@
 
 The central quantity is the closed cross-polytope count
 
-    N(d, k) = #{p in Z^d : |p_1| + ... + |p_d| <= k},
+    N(d, k) = #{p in Z^d : |p_1| + ... + |p_d| <= k}
+            = sum_{i=0}^{min(d, k)} 2^i C(d, i) C(k, i),
 
-computed by peeling off the last coordinate:
-
-    N(d, k) = N(d-1, k) + 2 * sum_{j=0}^{k-1} N(d-1, j),
-
-with arbitrary-precision integers and memoised rows, so building a table up
-to radius K costs O(d*K) big-integer additions.  For every fixed d the
+the i-th term counting the points with exactly i nonzero coordinates (pick
+the axes, their signs, and i positive parts summing to at most k).
+`l1_ball_count` evaluates the sum in O(min(d, k)) steps on integers of
+O(d + k) bits, behind one bounded cache; nothing is kept that grows with d
+or k.  As a polynomial in k the sum has forward differences 2^j C(d, j) at
+k = 0, so `ShellTable` steps a whole row N(d, 0..K) out of d + 1 running
+differences without touching lower dimensions.  For every fixed d the
 sequence k -> N(d, k) is strictly increasing and strictly log-concave;
 `check_log_concavity` and `check_gap_monotonicity` verify both facts exactly
 on demand.
@@ -26,7 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import accumulate, product
+from math import comb
 from typing import Iterator, Sequence
 
 LatticePoint = tuple[int, ...]
@@ -44,41 +48,20 @@ class EnumerationCapExceeded(RuntimeError):
 # Counting
 # ---------------------------------------------------------------------------
 
-# _counts[d] = [N(d,0), N(d,1), ...]; _cums[d] = prefix sums of _counts[d].
-# Rows grow on demand; once written, entries are never mutated.
-_counts: dict[int, list[int]] = {0: [1]}
-_cums: dict[int, list[int]] = {0: [1]}
-
-
-def _ensure(d: int, k: int) -> None:
-    for dim in range(0, d + 1):
-        row = _counts.setdefault(dim, [1])
-        cum = _cums.setdefault(dim, [1])
-        if dim == 0:
-            while len(row) <= k:
-                row.append(1)
-                cum.append(cum[-1] + 1)
-            continue
-        prev = _counts[dim - 1]
-        prev_cum = _cums[dim - 1]
-        while len(row) <= k:
-            j = len(row)
-            # N(dim, j) = N(dim-1, j) + 2 * sum_{i<j} N(dim-1, i)
-            row.append(prev[j] + 2 * prev_cum[j - 1])
-            cum.append(cum[-1] + row[-1])
-
-
+@lru_cache(maxsize=2**12)
 def l1_ball_count(d: int, k: int) -> int:
     """Number of lattice points p in Z^d with |p|_1 <= k."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if k < 0:
         raise ValueError(f"radius must be >= 0, got {k}")
-    row = _counts.get(d)
-    if row is None or len(row) <= k:
-        _ensure(d, k)
-        row = _counts[d]
-    return row[k]
+    # term_i = 2^i C(d, i) C(k, i); each division is exact, since
+    # term_i * 2 (d - i) (k - i) = term_{i+1} * (i + 1)^2
+    total = term = 1
+    for i in range(min(d, k)):
+        term = term * 2 * (d - i) * (k - i) // ((i + 1) * (i + 1))
+        total += term
+    return total
 
 
 def l1_shell_count(d: int, k: int) -> int:
@@ -90,10 +73,7 @@ def l1_shell_count(d: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class ShellTable:
-    """Immutable table of cross-polytope counts N(d, 0..k_max).
-
-    Construction may grow the shared memo; the frozen table is a snapshot.
-    """
+    """Immutable table of cross-polytope counts N(d, 0..k_max)."""
 
     dim: int
     counts: tuple[int, ...]
@@ -108,8 +88,15 @@ class ShellTable:
 
     @classmethod
     def build(cls, d: int, k_max: int) -> "ShellTable":
-        l1_ball_count(d, k_max)
-        return cls(d, tuple(_counts[d][: k_max + 1]))
+        """N(d, 0..k_max) from the forward differences 2^j C(d, j) at k = 0:
+        the j-th differences along k are running sums of the (j+1)-th, and
+        the d-th are constant."""
+        if d < 1 or k_max < 0:
+            raise ValueError(f"need d >= 1 and k_max >= 0, got {d}, {k_max}")
+        row = [2**d] * k_max
+        for j in range(d - 1, -1, -1):
+            row = list(accumulate(row[:k_max], initial=2**j * comb(d, j)))
+        return cls(d, tuple(row))
 
     @property
     def k_max(self) -> int:

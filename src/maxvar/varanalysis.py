@@ -55,13 +55,13 @@ distance) -- and `_best` reduces that axis by an adjacent-pair tournament of
 cross-multiplications; each point keeps the lowest-index maximum, as a
 sequential scan would.  Its arrays are int64 while `_grid_products_fit_int64`
 keeps every product exact, and object arrays of Python ints otherwise.  It
-takes every cube input and the l1 inputs at d = 2 whose products fit, if its
-width (cells per point: s^2 for l1, the closure count for cube) leaves room
-for a block of two stops in `_CHUNK_CELLS`.  Every other input (l1 at d != 2
-or with products that could overflow, wider supports) takes each distinct
-point's value from `maxop.maximal_value` once, as object arrays with scale
-1.  The lemma is a statement about the values of Mf, not about how they are
-computed, so the compression is exact for both evaluators.
+takes every cube input and every l1 input at d = 2, if its width (cells per
+point: s^2 for l1, the closure count for cube) leaves room for a block of
+two stops in `_CHUNK_CELLS`.  Every other input (l1 at d != 2, wider
+supports) takes each distinct point's value from `maxop.maximal_value`
+once, as object arrays with scale 1.  The lemma is a statement about the
+values of Mf, not about how they are computed, so the compression is exact
+for both evaluators.
 
 Cost: d (2R+1)^(d-1) lines of at most span + 2 points each (`sweep_points`),
 span being the support's extent along the line's axis, times C candidates
@@ -109,9 +109,9 @@ def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fracti
     stops = [list(chain(*parts)) for parts in _stops(f, R)]
     if not f:
         return Fraction(0)
-    fits = (not spec.centered or f.dim == 2) and _grid_products_fit_int64(f, spec.centered, R)
-    if not spec.centered or fits:
-        values, width, scale = _vectorised_values(f, spec.centered, R, np.int64 if fits else object)
+    if not spec.centered or f.dim == 2:
+        fits = _grid_products_fit_int64(f, spec.centered, R)
+        values, width, scale = _vectorised_values(f, spec.centered, np.int64 if fits else object)
         if width <= _CHUNK_CELLS // 2:  # room for a block of two stops
             return _sweep(values, width, scale, R, stops)
     return _sweep(_exact_values(f, spec), 1, 1, R, stops)
@@ -146,9 +146,8 @@ def _grid_products_fit_int64(f: GridFunction, centered: bool, R: int) -> bool:
 
     The largest numerator is the scaled total mass, the largest denominator
     the largest ball (`centered`) or box count reachable inside the sweep;
-    their product is the biggest value formed.  Otherwise cube runs on
-    object arrays and l1 takes the exact evaluator.  The box bound costs
-    O(1) at any R, the ball count is looked up only for l1.
+    their product is the biggest value formed.  Otherwise the evaluator
+    runs on object arrays.  Either bound is one closed form, O(1) at any R.
     """
     masses, _ = f.integer_masses()
     span, d = f.support_radius(), f.dim
@@ -242,7 +241,7 @@ def _exact_values(f: GridFunction, spec: BallSpec):
 
 # -- vectorised evaluator ----------------------------------------------------
 
-def _vectorised_values(f: GridFunction, centered: bool, R: int, dtype):
+def _vectorised_values(f: GridFunction, centered: bool, dtype):
     """Evaluator of integer values (l1 at d = 2, cube at any d), with its
     width and scale.
 
@@ -250,14 +249,12 @@ def _vectorised_values(f: GridFunction, centered: bool, R: int, dtype):
     (int64, or object for Python ints) stacked along a leading axis, num
     possibly broadcasting along the point axes; Mf is the largest
     num / (scale * den), which `_best` picks.  `width` is the widest array's
-    cells per point.  Tables are built once per sweep.
+    cells per point.  Columns are formed once per sweep.
     """
     masses, scale = f.integer_masses()
     if centered:
-        k_max = max(abs(x) + abs(y) for x, y in f.support) + 2 * R
-        ntab = np.array(lattice.ShellTable.build(2, k_max).counts, dtype=np.int64)
         px, py = np.array(f.support, dtype=np.int64).T[:, :, None, None]
-        candidates = partial(_l1_candidates_2d, px, py, np.array(masses, dtype=np.int64), ntab)
+        candidates = partial(_l1_candidates_2d, px, py, np.array(masses, dtype=dtype))
         width = len(masses) ** 2
     else:
         d = f.dim
@@ -297,14 +294,19 @@ def _best(num, den):
     return np.broadcast_to(num[0], den[0].shape), den[0]
 
 
-def _l1_candidates_2d(px, py, masses, ntab, x, y):
-    """Per support point p, stacked: the mass within |(x, y) - p|_1 of
-    (x, y) over N(2, |(x, y) - p|_1), the radii `maxop.centered_max_l1`
-    scans; `ntab` holds N(2, k) for every reachable k."""
+def _l1_candidates_2d(px, py, masses, x, y):
+    """Per support point p, stacked: the mass within k = |(x, y) - p|_1 of
+    (x, y) over N(2, k) = 2k^2 + 2k + 1, the radii `maxop.centered_max_l1`
+    scans, both in the dtype of `masses`."""
     dist = np.abs(x - px) + np.abs(y - py)
     # within[j, i]: support point i lies within distance dist[j]
     within = dist[None] <= dist[:, None]
-    return np.einsum("ji...,i->j...", within, masses), ntab[dist]
+    if masses.dtype == object:  # numpy 1.24 has no object einsum
+        mass = (within * masses[:, None, None]).sum(axis=1)
+    else:
+        mass = np.einsum("ji...,i->j...", within, masses)
+    k = dist.astype(masses.dtype, copy=False)
+    return mass, 2 * k * (k + 1) + 1
 
 
 def _cube_candidates(terms, mass, lower, upper, *coords):

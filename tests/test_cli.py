@@ -9,14 +9,14 @@ import pytest
 CLI = [sys.executable, "-m", "maxvar.cli"]
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=300):
     import os
 
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, timeout=300
+        CLI + list(args), capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -227,6 +227,23 @@ class TestVerify:
         r = run_cli("verify", "--input", doc, "--geometry", "centered1d", "--rmax", "4")
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+
+    def test_centered1d_sweep_to_huge_rmax(self, tmp_path):
+        # the epsilon is small enough that the doubling runs to --rmax; the
+        # sweep costs O(support) at any radius, so this takes well under a
+        # second (it ran out of time and memory while the ball counts were
+        # memoised up to the radius)
+        doc = write_doc(
+            tmp_path, "f.json", 1,
+            [{"point": [0], "value": "1"}, {"point": [3], "value": "-1/2"},
+             {"point": [5], "value": "2/3"}],
+        )
+        r = run_cli("verify", "--input", doc, "--geometry", "centered1d", "--rmax", "100000000",
+                    "--epsilon", "1/1000000000000000", timeout=30)
+        assert r.returncode == 0
+        payload = json.loads(r.stdout)
+        assert payload["stop_reason"] == "rmax" and payload["truncation_radius"] == 10**8
+        assert r.stderr.startswith("PASS: ") and len(r.stderr.splitlines()) == 1
 
     def test_missing_flags_exit_2(self):
         assert run_cli("verify").returncode == 2

@@ -24,6 +24,38 @@ def brute_count(d, k):
     )
 
 
+def recurrence_counts(d_max, k_max):
+    """Reference rows N(d, 0..k_max) for d = 1..d_max, by peeling off the
+    last coordinate: N(d, k) = N(d-1, k) + 2 * sum_{j<k} N(d-1, j)."""
+    rows = {0: [1] * (k_max + 1)}
+    for d in range(1, d_max + 1):
+        prev, row, below = rows[d - 1], [], 0
+        for k in range(k_max + 1):
+            row.append(prev[k] + 2 * below)
+            below += prev[k]
+        rows[d] = row
+    return rows
+
+
+class TestClosedForm:
+    def test_matches_the_recurrence(self):
+        # k < d included, where the binomial sum stops at i = k
+        rows = recurrence_counts(6, 300)
+        for d in range(1, 7):
+            assert [l1_ball_count(d, k) for k in range(301)] == rows[d], d
+
+    def test_shell_table_matches_the_count(self):
+        for d in range(1, 7):
+            for k_max in (0, 1, d, 120):
+                table = ShellTable.build(d, k_max)
+                assert table.counts == tuple(l1_ball_count(d, k) for k in range(k_max + 1))
+
+    def test_huge_radius(self):
+        k = 10**18
+        assert l1_ball_count(2, k) == 2 * k * k + 2 * k + 1
+        assert 3 * l1_ball_count(3, k) == 4 * k**3 + 6 * k * k + 8 * k + 3
+
+
 class TestCount:
     def test_one_dimensional_closed_form(self):
         assert l1_ball_count(1, 5) == 11

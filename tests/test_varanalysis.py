@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import chain
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxvar import constants, lattice, maxop, varanalysis
+from maxvar import constants, maxop, varanalysis
 from maxvar.gridfn import GridFunction, line_restriction
 from maxvar.lattice import l1_shell_count
 from maxvar.maxop import BallSpec, evaluate_on_box, maximal_value
@@ -238,23 +239,38 @@ class TestSweepMatchesReference:
 
         check()
 
-    @pytest.mark.parametrize("geometry", ["uncentered1d", "cube"])
-    def test_cube_sweeps_at_huge_radius_cost_o_of_the_support(self, geometry):
-        # the int64 check of a cube sweep is O(1) at any R: it builds no
-        # ball-count table up to d (R + span), as the l1 bound would
+    @pytest.mark.parametrize("geometry", ["centered1d", "uncentered1d", "l1", "cube"])
+    def test_1d_sweeps_at_huge_radius_cost_o_of_the_support(self, geometry):
+        # neither the int64 check nor a ball count near R builds a table
+        # up to R: the sweep's time and memory do not grow with R
         f = GridFunction(1, {(0,): Q(1), (3,): Q(-1, 2), (5,): Q(2, 3)})
         start = time.perf_counter()
-        var = truncated_variation_maxfn(f, BallSpec(geometry, 1), 10**8)
+        tracemalloc.start()
+        try:
+            var = truncated_variation_maxfn(f, BallSpec(geometry, 1), 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         if geometry == "uncentered1d":
             assert verify_uncentered_var_bound_1d(f, 10**8).maxfn_var_truncated == var
         assert time.perf_counter() - start < 1
+        assert peak < 4 * 2**20
         assert var >= truncated_variation_maxfn(f, BallSpec(geometry, 1), 14)
-        assert all(len(row) < 10**8 for row in lattice._counts.values())
 
-    @pytest.mark.parametrize("d, radius, max_size", [(1, 6, 6), (2, 2, 12), (3, 1, 4)])
-    def test_large_masses_take_object_arrays(self, d, radius, max_size, monkeypatch):
+    @pytest.mark.parametrize(
+        "geometry, d, radius, max_size, scale",
+        [
+            ("cube", 1, 6, 6, 10**19),
+            ("cube", 2, 2, 12, 10**19),
+            ("cube", 3, 1, 4, 10**19),
+            ("l1", 2, 2, 12, 10**18),
+        ],
+        ids=["1-6-6", "2-2-12", "3-1-4", "l1-2-2-12"],
+    )
+    def test_large_masses_take_object_arrays(self, geometry, d, radius, max_size, scale, monkeypatch):
         # products that could pass int64: the same evaluator on Python ints;
-        # 10^19 times any box count, 2 or more, passes 2^62
+        # 10^19 times any box count, 2 or more, passes 2^62, and so does
+        # 10^18 times two masses times any ball count reachable at d = 2
         monkeypatch.setattr(varanalysis, "_exact_values", _no_exact_values)
         dtypes = []
         reduce = varanalysis._add_run_boundaries
@@ -264,36 +280,17 @@ class TestSweepMatchesReference:
             return reduce(num, den, *running)
 
         monkeypatch.setattr(varanalysis, "_add_run_boundaries", recording)
-        spec = BallSpec("cube", d)
+        spec = BallSpec(geometry, d)
 
         @settings(SWEEP, max_examples=4)
         @given(_functions(d, radius, 2, max_size), st.integers(0, 9))
         def check(f, extra):
-            f = f.scale(10**19)
+            f = f.scale(scale)
             R = f.support_radius() + extra
-            assert not varanalysis._grid_products_fit_int64(f, False, R)
+            assert not varanalysis._grid_products_fit_int64(f, spec.centered, R)
             dtypes.clear()
             assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
             assert set(dtypes) == {np.dtype(object)}
-
-        check()
-
-    @pytest.mark.parametrize("geometry", ["l1"])
-    def test_large_masses_take_exact_evaluator(self, geometry, monkeypatch):
-        calls = []
-        exact = varanalysis._exact_values
-        monkeypatch.setattr(varanalysis, "_exact_values", lambda *a: calls.append(a) or exact(*a))
-        spec = BallSpec(geometry, 2)
-
-        @settings(SWEEP, max_examples=4)
-        @given(_functions(2, 2, 2, 12), st.integers(0, 9))
-        def check(f, extra):
-            f = f.scale(10**18)
-            R = f.support_radius() + extra
-            assert not varanalysis._grid_products_fit_int64(f, True, R)
-            calls.clear()
-            assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
-            assert len(calls) == 1
 
         check()
 
@@ -485,7 +482,7 @@ class TestTournament:
     def test_single_point_chunks_leave_the_cube_masses_intact(self):
         # the cube masses are shared by every chunk of a sweep
         f = _eight_point(random.Random(3))
-        values, _, scale = varanalysis._vectorised_values(f, False, 6, np.int64)
+        values, _, scale = varanalysis._vectorised_values(f, False, np.int64)
         for x, y in [(0, 0), (-6, 2), (0, 0), (5, -1)]:
             num, den = values([np.array([[x]]), np.array([[y]])])
             got = Q(int(num[0, 0]), scale * int(den[0, 0]))
@@ -521,7 +518,7 @@ class TestCubeCount:
         )
         def check(f, n):
             masses, _ = f.integer_masses()
-            values = varanalysis._vectorised_values(f, False, radius + 3, dtype)[0]
+            values = varanalysis._vectorised_values(f, False, dtype)[0]
             stacks.clear()
             values([np.array([[c]]) for c in n])
             assert stacks[0].dtype == np.dtype(dtype)
@@ -649,7 +646,7 @@ class TestChunkBudget:
         f = _eight_point(random.Random(geometry))
         spec = BallSpec(geometry, 2)
         want = truncated_variation_maxfn(f, spec, 12)
-        width = varanalysis._vectorised_values(f, spec.centered, 12, np.int64)[1]
+        width = varanalysis._vectorised_values(f, spec.centered, np.int64)[1]
         monkeypatch.setattr(varanalysis, "_CHUNK_CELLS", 2 * width)
         blocks = []
         reduce = varanalysis._add_run_boundaries
@@ -679,9 +676,13 @@ class TestChunkIndependence:
     def test_value_does_not_depend_on_chunk_cells(self, geometry, d, radius, monkeypatch):
         self._check(BallSpec(geometry, d), radius, 1, monkeypatch)
 
-    @pytest.mark.parametrize("d, radius", [(1, 6), (2, 3), (3, 1)])
-    def test_object_arrays_do_not_depend_on_chunk_cells(self, d, radius, monkeypatch):
-        self._check(BallSpec("cube", d), radius, 10**19, monkeypatch)
+    @pytest.mark.parametrize(
+        "geometry, d, radius",
+        [("cube", 1, 6), ("cube", 2, 3), ("cube", 3, 1), ("l1", 2, 3)],
+        ids=["1-6", "2-3", "3-1", "l1-2-3"],
+    )
+    def test_object_arrays_do_not_depend_on_chunk_cells(self, geometry, d, radius, monkeypatch):
+        self._check(BallSpec(geometry, d), radius, 10**19, monkeypatch)
 
     @staticmethod
     def _check(spec, radius, scale, monkeypatch):
