@@ -135,11 +135,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         )
     print(lattice.l1_ball_count(args.dim, args.radius))
     if args.enumerate:
-        try:
-            points = lattice.l1_ball_points(args.dim, args.radius, cap=cap)
-        except lattice.EnumerationCapExceeded as exc:
-            raise CliError(str(exc), EXIT_CAP)
-        for p in points:
+        for p in lattice.l1_ball_points(args.dim, args.radius, cap=cap):
             print(" ".join(str(c) for c in p))
     return EXIT_OK
 

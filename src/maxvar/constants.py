@@ -21,9 +21,9 @@ For each (d, kind) the term t_k is a fixed rational function of k,
 num(k) / den(k) with integer-coefficient polynomials (`_term_polynomials`).
 Partial sums evaluate those polynomials at every k and add the quotients as
 exact rationals.  This is exact for every k >= 1, not only where it is
-checked: the centered num and den are Ehrhart polynomials, pinned down by
-the interpolation check described below, and the uncentered quotient equals
-the defining expression by an algebraic identity in (a + b) and b.
+checked: the centered num and den expand the closed form of N(d, k) as a
+polynomial in k (see below), and the uncentered quotient equals the
+defining expression by an algebraic identity in (a + b) and b.
 `centered_term` and `uncentered_term` stay the reference definitions that
 the polynomials are checked against at k = 1..40.
 
@@ -35,11 +35,11 @@ by checking that the integer polynomial c * den(k) - k (k+1) * num(k) has
 nonnegative coefficients after substituting k -> k0 + t (nonnegative
 coefficients in t give nonnegativity for every real t >= 0, hence every
 integer k >= k0).  The tail beyond K >= k0 - 1 then telescopes to at most
-c / (K+1).  The numerator/denominator polynomials come from Lagrange
-interpolation of `lattice.l1_ball_count`, the binomial sum
-sum_i 2^i C(d, i) C(k, i): the dilation count of an integral polytope is a
-polynomial of degree d (Ehrhart), so agreement with that count on d + 41
-sample points pins it down exactly.
+c / (K+1).  The centered numerator/denominator polynomials expand the
+binomial sum N(d, k) = sum_i 2^i C(d, i) C(k, i) of `lattice.l1_ball_count`
+with C(k, i) = k (k - 1) ... (k - i + 1) / i!, which holds at every k >= 0
+(C(k, i) vanishes for i > k); it is checked against `l1_ball_count` at
+k = 0..d + 40.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import comb, factorial, lcm
 
 from . import lattice
 from .exact import tree_sum
@@ -176,24 +176,17 @@ def _ptrim(a: Poly) -> Poly:
 
 @cache
 def _count_poly(d: int) -> Poly:
-    """The degree-d polynomial with p(k) = N(d, k) for all integers k >= 0,
-    interpolated on k = 0..d and checked against `lattice.l1_ball_count`
-    on k = 0..d + 40."""
-    if d == 0:
-        return (1,)
-    xs = list(range(d + 1))
-    ys = [lattice.l1_ball_count(d, x) for x in xs]
-    poly: Poly = (Fraction(0),)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        term: Poly = (Fraction(yi),)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            term = _pmul(term, (Fraction(-xj, xi - xj), Fraction(1, xi - xj)))
-        poly = _padd(poly, term)
+    """N(d, k) = sum_i 2^i C(d, i) C(k, i) as a polynomial in k, with
+    C(k, i) = k (k - 1) ... (k - i + 1) / i!, checked against
+    `lattice.l1_ball_count` on k = 0..d + 40."""
+    poly: Poly = (1,)
+    falling: Poly = (1,)  # k (k - 1) ... (k - i + 1)
+    for i in range(1, d + 1):
+        falling = _pmul(falling, (1 - i, 1))
+        poly = _padd(poly, _pscale(falling, Fraction(2**i * comb(d, i), factorial(i))))
     for k in range(0, d + 41):
         if _peval(poly, k) != lattice.l1_ball_count(d, k):
-            raise AssertionError(f"count interpolation failed at d={d}, k={k}")
+            raise AssertionError(f"count polynomial mismatch at d={d}, k={k}")
     return _ptrim(poly)
 
 
@@ -203,10 +196,10 @@ def _term_polynomials(d: int, kind: str) -> tuple[Poly, Poly]:
 
     Partial sums evaluate these polynomials, so they must give the term
     exactly at every k >= 1, not only at the k = 1..40 checked here.
-    Centered: num = 2d * (N(d-1, k) - N(d-1, k-1)) and den = N(d, k) are
-    Ehrhart polynomials, pinned down by `_count_poly`'s d + 41-point
-    interpolation check; clearing their denominators with one common lcm
-    leaves the quotient unchanged.  Uncentered: with a + b = top / (k(k+1))
+    Centered: num = 2d * (N(d-1, k) - N(d-1, k-1)) and den = N(d, k) come
+    from `_count_poly`, whose binomial sum is N(d, k) at every k >= 0;
+    clearing their denominators with one common lcm leaves the quotient
+    unchanged.  Uncentered: with a + b = top / (k(k+1))
     and b = bot / (k(k+1)), the term (2d/k)((a + b)^(d-1) - b^(d-1)) equals
     2d (top^(d-1) - bot^(d-1)) / (k^d (k+1)^(d-1)) as an algebraic identity.
     """

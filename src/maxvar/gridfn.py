@@ -8,6 +8,7 @@ to end; floats appear only in display code.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -33,7 +34,10 @@ class GridFunction:
             raise ValueError("dim must be >= 1")
         cleaned: dict[LatticePoint, Fraction] = {}
         for point, raw in values.items():
-            point = tuple(int(c) for c in point)
+            # int() would take bools, truncate floats and Fractions and parse strings
+            if any(isinstance(c, bool) or not hasattr(type(c), "__index__") for c in point):
+                raise ValueError(f"point {point} has a non-integer coordinate")
+            point = tuple(map(operator.index, point))
             if len(point) != dim:
                 raise ValueError(f"point {point} does not have dimension {dim}")
             v = Fraction(raw)

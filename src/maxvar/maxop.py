@@ -89,7 +89,7 @@ class L1Ball:
     radius: int
 
     def count(self) -> int:
-        return lattice.l1_ball_count(len(self.center), self.radius) if self.radius else 1
+        return lattice.l1_ball_count(len(self.center), self.radius)
 
     def contains(self, p: LatticePoint) -> bool:
         return sum(abs(a - b) for a, b in zip(p, self.center)) <= self.radius
@@ -322,7 +322,7 @@ def delta_centered_l1_closed_form(p: LatticePoint, n: LatticePoint) -> Fraction:
     1 / N(d, |n - p|_1).
     """
     k = sum(abs(a - b) for a, b in zip(p, n))
-    return Fraction(1, lattice.l1_ball_count(len(p), k) if k else 1)
+    return Fraction(1, lattice.l1_ball_count(len(p), k))
 
 
 def delta_uncentered_cube_closed_form(p: LatticePoint, n: LatticePoint) -> Fraction:

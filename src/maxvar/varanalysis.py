@@ -46,30 +46,30 @@ and become Python ints otherwise; at the end one integer pair (total,
 scale * den) per distinct denominator reaches `exact.tree_sum`, the lcm
 pair tree, once per sweep.
 
-Two evaluators feed the driver, chosen from the input alone.  The
-vectorised one forms all candidates of the `maxop` kernels as integer arrays
-stacked along a leading candidate axis -- per closed support subset for cube
-at every d, per support point for l1 at d = 2 (the mass within its distance,
-from one broadcast comparison of the distances, over the ball count at that
-distance) -- and `_best` reduces that axis by an adjacent-pair tournament of
-cross-multiplications; each point keeps the lowest-index maximum, as a
-sequential scan would.  Its arrays are int64 while `_grid_products_fit_int64`
-keeps every product exact, and object arrays of Python ints otherwise.  It
-takes every cube input and every l1 input at d = 2, if its width (cells per
-point: s^2 for l1, the closure count for cube) leaves room for a block of
-two stops in `_CHUNK_CELLS`.  Every other input (l1 at d != 2, wider
-supports) takes each distinct point's value from `maxop.maximal_value`
-once, as object arrays with scale 1.  The lemma is a statement about the
-values of Mf, not about how they are computed, so the compression is exact
-for both evaluators.
+Two evaluators feed the driver, chosen from the input alone, before either
+is built.  The vectorised one forms all candidates of the `maxop` kernels
+as integer arrays stacked along a leading candidate axis -- per closed
+support subset for cube at every d, per support point for l1 at d = 2 (the
+mass within its distance, from one broadcast comparison of the distances,
+over the ball count at that distance) -- and `_best` reduces that axis by
+an adjacent-pair tournament of cross-multiplications; each point keeps the
+lowest-index maximum, as a sequential scan would.  Its arrays are int64
+while `_grid_products_fit_int64` keeps every product exact, and object
+arrays of Python ints otherwise.  It takes every cube input, at any support
+size, and every l1 input at d = 2 whose s^2 distance comparisons per point
+leave room for a block of two stops in `_CHUNK_CELLS`.  Every other l1
+input takes each distinct point's value from `maxop.maximal_value` once
+(the faster evaluator past about 100 support points), as object arrays
+with scale 1.  The lemma is a statement about the values of Mf, not about
+how they are computed, so the compression is exact for both evaluators.
 
 Cost: d (2R+1)^(d-1) lines of at most span + 2 points each (`sweep_points`),
 span being the support's extent along the line's axis, times C candidates
 per point and about 2C int64 products in the tournament; the (2R+1)^d box
-is never formed.  No array of a chunk of lines exceeds `_CHUNK_CELLS` cells
+is never formed.  No array of a chunk exceeds max(`_CHUNK_CELLS`, 2C) cells
 summed over the candidate axis: a line longer than that is cut into blocks
-of stops, each sharing its first stop with the previous block's last, and
-the blocks' run-boundary variations add up to the line's.
+of at least two stops, each sharing its first stop with the previous
+block's last, and the blocks' run-boundary variations add up to the line's.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ from .gridfn import GridFunction
 from .lattice import Box, LatticePoint
 from .maxop import BallSpec
 
-#: cells any one array of a chunk may hold, summed over the candidate axis
-#: (s^2 distance comparisons per point for l1): 512 KiB of int64
+#: cells per array of a chunk, summed over the candidate axis (s^2 distance
+#: comparisons per point for l1), unless two stops need more: 512 KiB of int64
 _CHUNK_CELLS = 2**16
 
 
@@ -109,12 +109,10 @@ def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fracti
     stops = [list(chain(*parts)) for parts in _stops(f, R)]
     if not f:
         return Fraction(0)
-    if not spec.centered or f.dim == 2:
-        fits = _grid_products_fit_int64(f, spec.centered, R)
-        values, width, scale = _vectorised_values(f, spec.centered, np.int64 if fits else object)
-        if width <= _CHUNK_CELLS // 2:  # room for a block of two stops
-            return _sweep(values, width, scale, R, stops)
-    return _sweep(_exact_values(f, spec), 1, 1, R, stops)
+    if spec.centered and (f.dim != 2 or len(f.support) ** 2 > _CHUNK_CELLS // 2):
+        return _sweep(_exact_values(f, spec), 1, 1, R, stops)
+    fits = _grid_products_fit_int64(f, spec.centered, R)
+    return _sweep(*_vectorised_values(f, spec.centered, np.int64 if fits else object), R, stops)
 
 
 def sweep_points(f: GridFunction, R: int) -> int:
@@ -416,7 +414,7 @@ def line_contribution_cap_l1(p: LatticePoint, line: LatticeLine) -> Fraction:
     k = sum(
         abs(line.through[i] - p[i]) for i in range(d) if i != line.axis
     )
-    return Fraction(2, lattice.l1_ball_count(d, k) if k else 1)
+    return Fraction(2, lattice.l1_ball_count(d, k))
 
 
 def line_contribution_cap_cube(p: LatticePoint, line: LatticeLine) -> Fraction:

@@ -54,6 +54,17 @@ class TestCount:
         )
         assert r.returncode == 3
 
+    def test_enumeration_past_the_cap_exit_3(self):
+        # the count fits the work bound, 2 * 3 * 4 = 24 steps, but its 25
+        # points do not fit the enumeration cap
+        r = run_cli(
+            "count", "--dim", "2", "--radius", "3", "--enumerate",
+            env_extra={"MAXVAR_ENUM_CAP": "24"},
+        )
+        assert r.returncode == 3
+        assert r.stdout == "25\n"
+        assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+
     @pytest.mark.parametrize("radius, code", [("16", 3), ("15", 0)])
     def test_memo_growth_checked_against_enum_cap(self, radius, code):
         # at dim 2 the memo takes 2 * 3 * (radius + 1) entries: 102, then 96

@@ -38,6 +38,25 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(0, {})
 
+    @pytest.mark.parametrize(
+        "c", [0.5, 1.0, Q(1, 2), Q(1), "1", True, False],
+        ids=["0.5", "1.0", "Q(1,2)", "Q(1)", "str", "True", "False"],
+    )
+    def test_refuses_non_integer_coordinates(self, c):
+        with pytest.raises(ValueError):
+            GridFunction(2, {(0, c): 1})
+
+    def test_truncated_coordinates_do_not_merge_points(self):
+        # int() would truncate 0.5 to 0 and keep one of the two values
+        with pytest.raises(ValueError):
+            GridFunction(1, {(0,): 1, (0.5,): 2})
+
+    def test_integer_like_coordinates_become_ints(self):
+        import numpy as np
+
+        f = GridFunction(2, {(np.int64(3), -1): 2})
+        assert f.support == ((3, -1),) and type(f.support[0][0]) is int
+
     def test_absolutize_idempotent_preserves_l1(self):
         f = GridFunction(1, {(0,): Q(-3, 2), (1,): 2})
         g = f.absolutize()

@@ -555,7 +555,7 @@ class _Recorded(np.ndarray):
 class TestChunkBudget:
     """The vectorised evaluator keeps every array of a chunk, the candidate
     stacks and the tournament's temporaries included, within _CHUNK_CELLS
-    cells."""
+    cells, or within two stops of one line where those pass it."""
 
     @staticmethod
     def _recorded(f, spec, R, monkeypatch):
@@ -639,6 +639,48 @@ class TestChunkBudget:
         monkeypatch.setattr(varanalysis, "_CHUNK_CELLS", 2 * budget)
         assert truncated_variation_maxfn(f, BallSpec("cube", 2), 1200) == var
 
+    @pytest.mark.parametrize("scale", [1, 10**19], ids=["int64", "object"])
+    def test_a_support_past_the_budget_takes_two_stops_at_a_time(self, scale, monkeypatch):
+        # closures alone past half the budget: still the vectorised
+        # evaluator, one block of two stops of one line per chunk
+        f = _eight_point(random.Random("wide")).scale(scale)
+        spec = BallSpec("cube", 2)
+        R = f.support_radius() + 3
+        width = len(maxop.hull_closures(f.support, tuple(f.integer_masses()[0])))
+        want = varanalysis._sweep(
+            varanalysis._exact_values(f, spec), 1, 1, R,
+            [list(chain(*parts)) for parts in varanalysis._stops(f, R)],
+        )
+        monkeypatch.setattr(varanalysis, "_exact_values", _no_exact_values)
+        for cells in (1, width, 2 * width - 1):
+            with monkeypatch.context() as m:  # fresh recorders per budget
+                m.setattr(varanalysis, "_CHUNK_CELLS", cells)
+                var, arrays, sizes = self._recorded(f, spec, R, m)
+            assert var == want
+            assert {a.dtype for a in arrays} == {np.dtype(np.int64 if scale == 1 else object)}
+            assert max(a.size for a in arrays) <= 2 * width
+            assert max(sizes) == 2 * width
+
+    def test_2d_l1_takes_the_exact_evaluator_past_half_the_budget(self, monkeypatch):
+        f = _eight_point(random.Random("l1"))
+        spec = BallSpec("l1", 2)
+        R = f.support_radius() + 3
+        want = _box_reference(f, spec, R)
+        calls = []
+        exact = varanalysis._exact_values
+
+        def counting(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(varanalysis, "_exact_values", counting)
+        width = len(f.support) ** 2
+        for cells in (1, 2 * width - 1, 2 * width, varanalysis._CHUNK_CELLS):
+            monkeypatch.setattr(varanalysis, "_CHUNK_CELLS", cells)
+            calls.clear()
+            assert truncated_variation_maxfn(f, spec, R) == want
+            assert len(calls) == (width > cells // 2)
+
     @pytest.mark.parametrize("geometry", ["l1", "cube"])
     def test_blocks_add_up_to_the_whole_line(self, geometry, monkeypatch):
         # with the least budget the vectorised evaluator takes, every block
@@ -687,6 +729,8 @@ class TestChunkIndependence:
     @staticmethod
     def _check(spec, radius, scale, monkeypatch):
         budgets = (1, 7, 97, varanalysis._CHUNK_CELLS)
+        if not spec.centered:  # cube sweeps take the vectorised evaluator at every budget
+            monkeypatch.setattr(varanalysis, "_exact_values", _no_exact_values)
 
         @settings(SWEEP, max_examples=6)
         @given(_functions(spec.dim, radius, 1, 6), st.integers(0, 4))
