@@ -103,10 +103,8 @@ class LatticeBox:
     upper: LatticePoint
 
     def count(self) -> int:
-        n = 1
-        for l, u in zip(self.lower, self.upper):
-            n *= u - l + 1
-        return n
+        """Lattice points in the box; 0 when it is inverted on any axis."""
+        return prod(max(u - l + 1, 0) for l, u in zip(self.lower, self.upper))
 
     def contains(self, p: LatticePoint) -> bool:
         return all(l <= c <= u for l, u, c in zip(self.lower, self.upper, p))
@@ -328,17 +326,13 @@ def delta_centered_l1_closed_form(p: LatticePoint, n: LatticePoint) -> Fraction:
 def delta_uncentered_cube_closed_form(p: LatticePoint, n: LatticePoint) -> Fraction:
     """Value at n of the cube maximal function of a unit delta at p.
 
-    With M = |n - p|_inf and j = #{i : |n_i - p_i| = M}, the cheapest
-    admissible box containing both points has (M+1) points along the j
-    extremal axes and max(1, M) along the rest.
+    With M = |n - p|_inf, the cheapest admissible box around both points
+    has max(|n_i - p_i| + 1, M) points along axis i: M + 1 along the
+    extremal axes, M along the others, and 1 when n = p.
     """
-    d = len(p)
     diffs = [abs(a - b) for a, b in zip(p, n)]
     m = max(diffs)
-    if m == 0:
-        return Fraction(1)
-    j = sum(1 for x in diffs if x == m)
-    return Fraction(1, (m + 1) ** j * m ** (d - j))
+    return Fraction(1, prod(max(x + 1, m) for x in diffs))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,13 @@ bounded here), and reports say so.  For unit deltas the pointwise closed
 forms give two-sided control: `delta_variation_closed_form` evaluates the
 truncated variation exactly and converges to the sharp constants.
 
+Line caps.  Along an axis-parallel line the maximal function of a unit mass
+at p peaks at the line's point nearest to p (`LatticeLine.nearest`) and
+decreases towards 0 both ways, so the line's full variation, its cap, is
+twice the `maxop` closed form there.  Summed per distance from p, the caps
+are the sharp constants' series terms (`delta_line_cap_totals`): the
+paper's line decomposition.
+
 Monotone-tail lemma.  Fix an axis i and a line {base + t e_i}, and let
 [lo, hi] be the projection of the support onto axis i.  Then
 t -> Mf(base + t e_i) is nondecreasing for t <= lo and nonincreasing for
@@ -76,7 +83,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain, product
 from math import prod
 
@@ -218,23 +225,10 @@ def _add_run_boundaries(num, den, dens, totals):
 def _exact_values(f: GridFunction, spec: BallSpec):
     """Evaluator of exact values: object arrays of the numerators and
     denominators of `maxop.maximal_value`, once per distinct point."""
-    cache: dict[LatticePoint, tuple[int, int]] = {}
-
-    def value(point: LatticePoint) -> tuple[int, int]:
-        pair = cache.get(point)
-        if pair is None:
-            v = maxop.maximal_value(f, spec, point)
-            pair = cache[point] = (v.numerator, v.denominator)
-        return pair
-
-    def values(coords):
-        grids = np.broadcast_arrays(*coords)
-        points = zip(*(g.ravel().tolist() for g in grids))
-        pairs = np.array([value(p) for p in points], dtype=object)
-        pairs = pairs.reshape(*grids[0].shape, 2)
-        return pairs[..., 0], pairs[..., 1]
-
-    return values
+    pairs = np.frompyfunc(
+        cache(lambda *point: maxop.maximal_value(f, spec, point).as_integer_ratio()), f.dim, 2
+    )
+    return lambda coords: pairs(*coords)
 
 
 # -- vectorised evaluator ----------------------------------------------------
@@ -406,27 +400,22 @@ class LatticeLine:
         if not 0 <= self.axis < len(self.through):
             raise ValueError("axis out of range")
 
+    def nearest(self, p: LatticePoint) -> LatticePoint:
+        """The line's point nearest to p: `through` with p's `axis` coordinate."""
+        return tuple(p[i] if i == self.axis else c for i, c in enumerate(self.through))
+
 
 def line_contribution_cap_l1(p: LatticePoint, line: LatticeLine) -> Fraction:
     """Largest possible share of one unit of mass at p in the variation of the
-    cross-polytope maximal function along `line`: 2 / N(d, dist_l1(line, p))."""
-    d = len(p)
-    k = sum(
-        abs(line.through[i] - p[i]) for i in range(d) if i != line.axis
-    )
-    return Fraction(2, lattice.l1_ball_count(d, k))
+    cross-polytope maximal function along `line`: twice its value at the
+    line's point nearest to p, 2 / N(d, dist_l1(line, p))."""
+    return 2 * maxop.delta_centered_l1_closed_form(p, line.nearest(p))
 
 
 def line_contribution_cap_cube(p: LatticePoint, line: LatticeLine) -> Fraction:
-    """Cube analogue: 2 / ((k+1)^j * max(1,k)^(d-j)) with k the sup-distance
-    from p to the line and j the number of fixed coordinates attaining it."""
-    d = len(p)
-    diffs = [abs(line.through[i] - p[i]) for i in range(d) if i != line.axis]
-    k = max(diffs, default=0)
-    if k == 0:
-        return Fraction(2)
-    j = sum(1 for x in diffs if x == k)
-    return Fraction(2, (k + 1) ** j * k ** (d - j))
+    """Cube analogue: twice the unit mass's value at the line's point n
+    nearest to p, 2 / prod_i max(|n_i - p_i| + 1, k) with k = |n - p|_inf."""
+    return 2 * maxop.delta_uncentered_cube_closed_form(p, line.nearest(p))
 
 
 # ---------------------------------------------------------------------------
@@ -461,32 +450,23 @@ def delta_line_cap_totals(
 ) -> dict[int, tuple[int, Fraction]]:
     """Full-line delta contributions grouped by line distance.
 
-    For a unit delta at the origin, every line at distance k contributes its
-    cap in full (the per-line variation of the delta's maximal function over
-    the whole line equals the cap).  Returns {k: (number of lines, summed
-    contribution)} over all d directions, for distances up to k_max.  The
-    k-th total reproduces the k-th series term of the matching constant.
+    For a unit delta at the origin, the variation along a whole line at
+    distance k is the line's cap.  Returns {k: (number of lines, summed
+    caps)} over all d directions, for distances up to k_max; the k-th total
+    is the k-th series term of the matching constant.
     """
-    if geometry not in ("l1", "cube"):
+    if geometry == "l1":
+        cap, norm = line_contribution_cap_l1, sum
+        bases = lattice.l1_ball_points(d - 1, k_max) if d > 1 else [()]
+    elif geometry == "cube":
+        cap, norm = line_contribution_cap_cube, max
+        bases = product(range(-k_max, k_max + 1), repeat=d - 1)
+    else:
         raise ValueError("geometry must be 'l1' or 'cube'")
     origin = (0,) * d
     totals: dict[int, tuple[int, Fraction]] = {}
-    if d == 1:
-        bases: list[LatticePoint] = [()]
-    elif geometry == "l1":
-        bases = lattice.l1_ball_points(d - 1, k_max)
-    else:
-        bases = list(product(range(-k_max, k_max + 1), repeat=d - 1))
-    cap_fn = line_contribution_cap_l1 if geometry == "l1" else line_contribution_cap_cube
     for base in bases:
-        if geometry == "l1":
-            k = sum(abs(c) for c in base)
-        else:
-            k = max((abs(c) for c in base), default=0)
-        if k > k_max:
-            continue
-        line = LatticeLine(d - 1, base + (0,))
-        cap = cap_fn(origin, line)
+        k = norm((0, *map(abs, base)))  # the 0 is the distance at d = 1, whose base is ()
         cnt, tot = totals.get(k, (0, Fraction(0)))
-        totals[k] = (cnt + d, tot + d * cap)
+        totals[k] = (cnt + d, tot + d * cap(origin, LatticeLine(d - 1, base + (0,))))
     return totals

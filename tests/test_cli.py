@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -83,7 +84,7 @@ class TestMaxfn:
         out = str(tmp_path / "out.csv")
         r = run_cli("maxfn", "--input", doc, "--geometry", "centered1d", "--box", "2", "--output", out)
         assert r.returncode == 0
-        rows = open(out).read().splitlines()
+        rows = Path(out).read_text().splitlines()
         assert rows[0] == "n1,value,decimal"
         values = [row.split(",")[1] for row in rows[1:]]
         assert values == ["1/5", "1/3", "1", "1/3", "1/5"]
@@ -93,7 +94,7 @@ class TestMaxfn:
         out = str(tmp_path / "out.csv")
         r = run_cli("maxfn", "--input", doc, "--geometry", "uncentered1d", "--box", "1", "--output", out)
         assert r.returncode == 0
-        values = [row.split(",")[1] for row in open(out).read().splitlines()[1:]]
+        values = [row.split(",")[1] for row in Path(out).read_text().splitlines()[1:]]
         assert values == ["0", "0", "0"]
 
     def test_cube_dim1_matches_uncentered1d(self, tmp_path):
@@ -105,7 +106,7 @@ class TestMaxfn:
         out2 = str(tmp_path / "b.csv")
         assert run_cli("maxfn", "--input", doc, "--geometry", "cube", "--box", "6", "--output", out1).returncode == 0
         assert run_cli("maxfn", "--input", doc, "--geometry", "uncentered1d", "--box", "6", "--output", out2).returncode == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_parse_failure_exit_2_with_location(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -426,7 +427,7 @@ class TestDeterminism:
         for name in ("a.csv", "b.csv"):
             out = str(tmp_path / name)
             assert run_cli("maxfn", "--input", doc, "--geometry", "l1", "--box", "4", "--output", out).returncode == 0
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
 

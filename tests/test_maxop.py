@@ -63,6 +63,18 @@ class TestAverage:
         with pytest.raises(ValueError):
             average(GridFunction.delta(0), L1Ball((0,), -1))
 
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [((1, 1), (0, 1)), ((2, 2), (0, 0)), ((0, 5, 5), (2, 3, 3))],
+        ids=["one-axis", "both-axes", "two-of-three-axes"],
+    )
+    def test_inverted_boxes_hold_no_points(self, lower, upper):
+        # inverted on an even number of axes too: no sign cancellation
+        box = LatticeBox(lower, upper)
+        assert box.count() == 0
+        with pytest.raises(ValueError):
+            average(GridFunction.delta((1,) * len(lower)).scale(3), box)
+
 
 class TestCentered1D:
     def test_delta_at_distance(self):

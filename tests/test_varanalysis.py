@@ -2,7 +2,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxvar import constants, maxop, varanalysis
-from maxvar.gridfn import GridFunction, line_restriction
+from maxvar.gridfn import GridFunction
 from maxvar.lattice import l1_shell_count
 from maxvar.maxop import BallSpec, evaluate_on_box, maximal_value
 from maxvar.oracle import brute_variation
@@ -767,6 +767,26 @@ class TestSweepPoints:
                 truncated_variation_maxfn(f, BallSpec(geometry, d), R)
                 assert sum(seen) == varanalysis.sweep_points(f, R)
 
+    def test_exact_evaluator_calls_the_kernel_once_per_distinct_point(self, monkeypatch):
+        # support box [-1, 1]^3 at R = 4: each axis stops at {-4, -1, 0, 1, 4},
+        # so the sweep meets 9^3 - 4^3 distinct points of its 1,215 stops
+        f = GridFunction(3, {(-1, -1, -1): 1, (1, 0, 1): Q(2, 3), (0, 1, 0): 3})
+        spec = BallSpec("l1", 3)
+        calls = []
+        kernel = maxop.maximal_value
+
+        def counting(g, s, point):
+            assert all(type(c) is int for c in point)  # no numpy integers reach the kernel
+            calls.append(point)
+            return kernel(g, s, point)
+
+        monkeypatch.setattr(maxop, "maximal_value", counting)
+        var = truncated_variation_maxfn(f, spec, 4)
+        assert varanalysis.sweep_points(f, 4) == 1215
+        assert len(calls) == len(set(calls)) == 9**3 - 4**3
+        monkeypatch.undo()
+        assert var == _box_reference(f, spec, 4)
+
     def test_zero_function_and_small_radius(self):
         assert varanalysis.sweep_points(GridFunction.zero(2), 5) == 0
         assert varanalysis.sweep_points(GridFunction.delta((0, 0)), 0) == 2
@@ -846,29 +866,29 @@ class TestLineCaps:
         cap = line_contribution_cap_cube((0, 0, 0), LatticeLine(2, (2, 1, 0)))
         assert cap == Q(2, 3 * 4) == Q(1, 6)
 
-    def test_caps_honored_by_delta_runs(self):
-        # measured per-line truncated variation never exceeds the cap, and
-        # fills it as the window grows
-        f = GridFunction.delta((0, 0))
-        for geom, cap_fn in (
-            ("l1", line_contribution_cap_l1),
-            ("cube", line_contribution_cap_cube),
-        ):
-            spec = BallSpec(geom, 2)
-            values = {}
-            R = 14
-            box = ((-R, -R), (R, R))
-            values = evaluate_on_box(f, spec, box)
-            for c in range(-3, 4):
-                line = LatticeLine(1, (c, 0))
-                seq = line_restriction(values, 1, (c, 0), box)
-                measured = sum(abs(b - a) for a, b in zip(seq, seq[1:]))
-                cap = cap_fn((0, 0), line)
-                assert measured <= cap
-                # the within-line tail is monotone, so adding its exact
-                # remainder 2*v(edge) reaches the cap when the line passes
-                # within the box at full width
-                assert measured + 2 * seq[0] == cap
+    @pytest.mark.parametrize("geometry", ["l1", "cube"])
+    @pytest.mark.parametrize("d, axis", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+    def test_caps_honored_by_delta_runs(self, geometry, d, axis):
+        # measured variation of a mass off the origin along lines up to 3
+        # from it never exceeds the cap; each line's segment is centred on
+        # its point nearest the mass, and the within-line tails are
+        # monotone, so adding their exact remainder 2*v(edge) reaches the cap
+        p = (1, -2, 0)[:d]
+        f = GridFunction.delta(p)
+        spec = BallSpec(geometry, d)
+        cap_fn = line_contribution_cap_l1 if geometry == "l1" else line_contribution_cap_cube
+        W = 12
+        for offset in product(range(-3, 4), repeat=d - 1):
+            rest = [c + o for c, o in zip(p[:axis] + p[axis + 1 :], offset)]
+            line = LatticeLine(axis, tuple(rest[:axis] + [7] + rest[axis:]))
+            seq = [
+                maximal_value(f, spec, tuple(rest[:axis] + [t] + rest[axis:]))
+                for t in range(p[axis] - W, p[axis] + W + 1)
+            ]
+            measured = sum(abs(b - a) for a, b in zip(seq, seq[1:]))
+            cap = cap_fn(p, line)
+            assert measured <= cap
+            assert measured + 2 * seq[0] == cap
 
 
 class TestDeltaClosedFormSums:
