@@ -22,8 +22,9 @@ failure, 3 enumeration cap exceeded, 4 geometry/dimension mismatch.  The cap
 (MAXVAR_ENUM_CAP) bounds the points `count --enumerate` lists and, checked
 before any work, 2(d+1)(k+1) for `count`, which bounds its closed form's
 min(d, k) steps times their O(d + k)-bit integers, the (2R+1)^d points of
-`maxfn --box`, the terms of `constant --terms`, and the points the line
-sweep evaluates for `verify` at --rmax and for `scan` at --box.
+`maxfn --box`, the --terms summed terms of `constant`, `verify` and `scan`,
+and the points the line sweep evaluates for `verify` at --rmax and for
+`scan` at --box.
 """
 
 from __future__ import annotations
@@ -149,6 +150,12 @@ def _check_sweep(f: GridFunction, R: int) -> None:
         )
 
 
+def _check_terms(terms: int) -> None:
+    cap = _enum_cap()
+    if terms > cap:
+        raise CliError(f"--terms {terms} exceeds the cap {cap} on summed terms", EXIT_CAP)
+
+
 def _enum_cap() -> int:
     raw = os.environ.get("MAXVAR_ENUM_CAP")
     if raw is None:
@@ -207,9 +214,7 @@ def cmd_constant(args: argparse.Namespace) -> int:
         raise CliError("--dim must be >= 1", EXIT_USAGE)
     if args.digits < 0:
         raise CliError("--digits must be >= 0", EXIT_USAGE)
-    cap = _enum_cap()
-    if args.terms > cap:
-        raise CliError(f"--terms {args.terms} exceeds the cap {cap} on summed terms", EXIT_CAP)
+    _check_terms(args.terms)
     try:
         enc = constants.constant_enclosure(d, args.terms, kind)
     except ValueError as exc:
@@ -241,6 +246,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         epsilon = parse_rational(args.epsilon)
         # verify_inequality measures the recentered copy, so that is what is swept
         _check_sweep(verify.recenter(f), args.rmax)
+        if epsilon <= 0:  # a usage error outranks the terms cap
+            raise ValueError("epsilon must be positive")
+        _check_terms(args.terms)
         record, report = verify.verify_inequality(
             f, spec, epsilon, r_max=args.rmax, terms=args.terms
         )
@@ -380,6 +388,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         # every member's support lies in [0, radius]^dim, so the pair of its
         # corners has the widest sweep
         _check_sweep(GridFunction(dim, {(0,) * dim: 1, (args.radius,) * dim: 1}), args.box)
+        _check_terms(args.terms)
     try:
         records = verify.scan_extremizers(
             spec, max_distance=args.radius, R=args.box, terms=args.terms

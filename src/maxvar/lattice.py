@@ -21,7 +21,10 @@ traces of real cubes: a cube of side 2r meets each coordinate axis in an
 interval of one common real length, so its per-axis lattice point counts
 differ by at most one.  `admissible_boxes_through` enumerates exactly those
 boxes and `box_realization` produces an explicit rational cube witnessing
-realizability.
+realizability.  That enumeration is the search set of
+`oracle.brute_uncentered_cube`, and no fast path uses it; like every
+enumeration here it stops at the cap, so the cube oracle raises
+`EnumerationCapExceeded` past 10^7 boxes, which the CLI maps to exit 3.
 """
 
 from __future__ import annotations
@@ -220,33 +223,21 @@ def admissible_boxes_through(
     _validate_box(support_box, d)
     lower, upper = support_box
     if max_side is None:
-        max_side = max(
-            max(u, p) - min(l, p) + 1 for l, u, p in zip(lower, upper, point)
-        )
+        max_side = max(max(u, p) - min(l, p) + 1 for l, u, p in zip(lower, upper, point))
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     yielded = 0
     for side in range(1, max_side + 1):
         for profile in _count_profiles(d, side):
-            # offsets per axis: box [a, a+L-1] must contain point and meet
-            # the support box
-            ranges = []
-            feasible = True
-            for i in range(d):
-                li = profile[i]
-                a_min = max(point[i] - li + 1, lower[i] - li + 1)
-                a_max = min(point[i], upper[i])
-                if a_min > a_max:
-                    feasible = False
-                    break
-                ranges.append(range(a_min, a_max + 1))
-            if not feasible:
-                continue
+            # per axis, the corners a of the boxes [a, a+L-1] that contain
+            # point and meet the support box (one empty range empties all)
+            ranges = [
+                range(max(p, l) - L + 1, min(p, u) + 1)
+                for p, l, u, L in zip(point, lower, upper, profile)
+            ]
             for corner in product(*ranges):
                 yielded += 1
                 if yielded > cap:
-                    raise EnumerationCapExceeded(
-                        f"box enumeration exceeded cap {cap}"
-                    )
+                    raise EnumerationCapExceeded(f"box enumeration exceeded cap {cap}")
                 yield corner, tuple(c + l - 1 for c, l in zip(corner, profile))
 
 

@@ -5,16 +5,19 @@ no pruning lemmas, no prefix sums, no minimal-box shortcuts.  These
 functions exist to certify the fast paths in `maxop` and `varanalysis`,
 so they deliberately share nothing with them beyond GridFunction and
 Fraction arithmetic (ball membership is re-derived from the norm
-inequality on the spot).  They are slow on purpose.
+inequality on the spot).  The cube oracle searches the lattice's checked
+set of real-cube traces, `lattice.admissible_boxes_through`, which no fast
+path uses.  They are slow on purpose.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .gridfn import GridFunction
-from .lattice import Box, LatticePoint
+from .lattice import Box, LatticePoint, admissible_boxes_through
 from .maxop import ArgmaxWitness, L1Ball, LatticeBox
 
 
@@ -87,55 +90,33 @@ def brute_centered_l1(f: GridFunction, n: LatticePoint, r_cap: int) -> ArgmaxWit
 
 
 def brute_uncentered_cube(f: GridFunction, n: LatticePoint, span_cap: int) -> ArgmaxWitness:
-    """Exhaustive max over all boxes through n with balanced side counts.
+    """Exhaustive max of literal box averages over the cube traces through n.
 
-    Enumerates every box [a, a + L - 1] componentwise with
-    max L - min L <= 1, max L <= span_cap, n inside, and the box meeting
-    the support's bounding box.
+    The search set is `lattice.admissible_boxes_through(n, support box,
+    max_side=span_cap)`, the lattice's checked set of real-cube traces: the
+    boxes with per-axis counts at most span_cap that differ by at most one,
+    n inside, meeting the support's bounding box.  No fast path uses it.
     """
     n = tuple(n)
-    d = f.dim
     bbox = f.support_box()
-    if bbox is not None:
-        needed = max(
-            max(u, c) - min(l, c) + 1 for l, u, c in zip(bbox[0], bbox[1], n)
-        )
-        if span_cap < needed:
-            raise ValueError("span_cap does not cover the support span")
-    best: tuple[Fraction, int, LatticeBox] | None = None
-    for side in range(1, span_cap + 1):
-        sides = [side, side - 1] if side > 1 else [side]
-        for profile in product(sides, repeat=d):
-            if max(profile) != side:
-                continue
-            axis_ranges = []
-            for i in range(d):
-                axis_ranges.append(range(n[i] - profile[i] + 1, n[i] + 1))
-            for corner in product(*axis_ranges):
-                upper = tuple(c + l - 1 for c, l in zip(corner, profile))
-                if bbox is not None and any(
-                    u < bl or c > bu
-                    for c, u, bl, bu in zip(corner, upper, bbox[0], bbox[1])
-                ):
-                    continue
-                total = Fraction(0)
-                for p, v in f.items():
-                    if all(a <= x <= b for a, x, b in zip(corner, p, upper)):
-                        total += abs(v)
-                count = 1
-                for l in profile:
-                    count *= l
-                val = total / count
-                box = LatticeBox(corner, upper)
-                if best is None or val > best[0] or (
-                    val == best[0]
-                    and (count, box.lower, box.upper)
-                    < (best[1], best[2].lower, best[2].upper)
-                ):
-                    best = (val, count, box)
-    if best is None:
+    if bbox is None:
         return ArgmaxWitness(Fraction(0), 1, LatticeBox(n, n))
-    return ArgmaxWitness(best[0], best[1], best[2])
+    if span_cap < max(max(u, c) - min(l, c) + 1 for l, u, c in zip(*bbox, n)):
+        raise ValueError("span_cap does not cover the support span")
+
+    def rank(box: Box) -> tuple[Fraction, int, LatticePoint, LatticePoint]:
+        # the largest average wins; ties go to the smallest count, then corners
+        lower, upper = box
+        total = Fraction(0)
+        for p, v in f.items():
+            if all(a <= x <= b for a, x, b in zip(lower, p, upper)):
+                total += abs(v)
+        count = prod(b - a + 1 for a, b in zip(lower, upper))
+        return -total / count, count, lower, upper
+
+    boxes = admissible_boxes_through(n, bbox, max_side=span_cap)
+    value, count, lower, upper = min(map(rank, boxes))
+    return ArgmaxWitness(-value, count, LatticeBox(lower, upper))
 
 
 def brute_variation(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from . import maxop, oracle
 from .constants import bound_for_geometry
@@ -221,22 +222,15 @@ def two_point_shapes(spec: BallSpec, max_distance: int) -> list[LatticePoint]:
 
     The operators commute with coordinate permutations and sign flips and
     every record is translation invariant, so offsets are canonicalised to
-    sorted nonnegative coordinates; the distance is measured in the
+    non-increasing nonnegative coordinates; the distance is measured in the
     geometry's own metric.
     """
-    if spec.dim == 1:
-        return [(q,) for q in range(1, max_distance + 1)]
-    if spec.dim != 2:
-        raise ValueError("two-point scans support d <= 2")
-    shapes = []
-    for a in range(0, max_distance + 1):
-        for b in range(0, a + 1):
-            if (a, b) == (0, 0):
-                continue
-            dist = a + b if spec.geometry == "l1" else a
-            if dist <= max_distance:
-                shapes.append((a, b))
-    return shapes
+    norm = sum if spec.centered else max
+    return [
+        q
+        for q in product(range(max_distance + 1), repeat=spec.dim)
+        if all(a >= b for a, b in zip(q, q[1:])) and 0 < norm(q) <= max_distance
+    ]
 
 
 def scan_extremizers(

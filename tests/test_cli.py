@@ -295,7 +295,7 @@ class TestVerify:
             tmp_path, "f.json", 2,
             [{"point": [0, 0], "value": "1"}, {"point": [1, 0], "value": "1/2"}],
         )
-        r = run_cli("verify", "--input", doc, "--geometry", "l1", "--rmax", "8",
+        r = run_cli("verify", "--input", doc, "--geometry", "l1", "--rmax", "8", "--terms", "100",
                     env_extra={"MAXVAR_ENUM_CAP": cap})
         assert r.returncode == code
         if code:
@@ -356,7 +356,7 @@ class TestScan:
     def test_sweep_at_box_checked_against_enum_cap(self, box, code):
         # the widest member {(0, 0), (1, 1)} has 4 stops on each of 2 (2R + 1)
         # lines: 328 points at R = 20, 312 at R = 19
-        r = run_cli("scan", "--geometry", "cube", "--radius", "1", "--box", box,
+        r = run_cli("scan", "--geometry", "cube", "--radius", "1", "--box", box, "--terms", "100",
                     env_extra={"MAXVAR_ENUM_CAP": "320"})
         assert r.returncode == code
         if code:
@@ -373,6 +373,40 @@ class TestScan:
         assert r.returncode == 0, r.stderr
         longest = max(len(field) for row in r.stdout.splitlines() for field in row.split(","))
         assert longest > 4300
+
+
+class TestTermsCap:
+    """`verify` and `scan` refuse --terms above MAXVAR_ENUM_CAP before summing,
+    as `constant` does; a usage error still exits 2 first."""
+
+    @pytest.fixture
+    def delta(self, tmp_path):
+        return write_doc(tmp_path, "delta.json", 2, [{"point": [0, 0], "value": "1"}])
+
+    def _commands(self, delta, terms):
+        return [
+            ("verify", "--input", delta, "--geometry", "l1", "--rmax", "2", "--terms", terms),
+            ("scan", "--geometry", "cube", "--radius", "0", "--box", "1", "--terms", terms),
+        ]
+
+    @pytest.mark.parametrize("terms, code", [("1000", 3), ("500", 0)])
+    def test_terms_checked_against_enum_cap(self, delta, terms, code):
+        for args in self._commands(delta, terms):
+            r = run_cli(*args, env_extra={"MAXVAR_ENUM_CAP": "500"})
+            assert r.returncode == code, args
+            if code:
+                assert r.stdout == ""
+                assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+
+    def test_usage_errors_outrank_the_terms_cap(self, delta):
+        verify_args, _ = self._commands(delta, "1000")
+        for args in [
+            verify_args + ("--epsilon", "0"),
+            ("scan", "--geometry", "cube", "--radius", "2", "--box", "1", "--terms", "1000"),
+        ]:
+            r = run_cli(*args, env_extra={"MAXVAR_ENUM_CAP": "500"})
+            assert r.returncode == 2, args
+            assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
 
 
 class TestFormatRational:

@@ -313,6 +313,22 @@ class TestCubeWitnessesLargeSupports:
         assert (fast.value, fast.count, fast.region) == (slow.value, slow.count, slow.region)
 
 
+class TestL1WitnessesThreeD:
+    """The l1 kernel against the literal ball enumeration at d = 3, on
+    signed supports in [-1, 1]^3 seen from points of [-2, 2]^3."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(
+        st.dictionaries(
+            st.tuples(*[st.integers(-1, 1)] * 3), _signed, min_size=1, max_size=10
+        ),
+        st.tuples(*[st.integers(-2, 2)] * 3),
+    )
+    def test_matches_ball_oracle_3d(self, values, n):
+        fast, slow = oracle_agreement(GridFunction(3, values), BallSpec("l1", 3), n)
+        assert (fast.value, fast.count, fast.region) == (slow.value, slow.count, slow.region)
+
+
 class TestClosedForms:
     def test_centered_identity_point(self):
         assert delta_centered_l1_closed_form((0, 0, 0), (0, 0, 0)) == 1

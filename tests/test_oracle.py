@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxvar import oracle
 from maxvar.gridfn import GridFunction
@@ -150,3 +152,24 @@ def test_randomized_agreement_all_geometries():
             f2, n2, span
         )
         assert (fw.value, fw.region) == (ow.value, ow.region)
+
+
+_signed = st.tuples(st.integers(1, 9), st.integers(1, 9), st.booleans()).map(
+    lambda t: Q(t[0], t[1]) * (-1 if t[2] else 1)
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.dictionaries(st.integers(-6, 6), _signed, max_size=6), st.integers(-8, 8))
+def test_d_dimensional_oracles_match_interval_oracles_at_d1(values, n):
+    """At d = 1 a cube trace is an interval and an l1 ball a window, so the
+    d-dimensional oracles must return the interval oracles' witnesses."""
+    f = GridFunction(1, {(x,): v for x, v in values.items()})
+    hull = [n, *values]
+    reach = max(abs(x - n) for x in hull) + 2
+    span = max(hull) - min(hull) + 2
+    for slow, literal in [
+        (oracle.brute_uncentered_cube(f, (n,), span), oracle.brute_uncentered_1d(f, n, reach)),
+        (oracle.brute_centered_l1(f, (n,), reach), oracle.brute_centered_1d(f, n, reach)),
+    ]:
+        assert (slow.value, slow.count, slow.region) == (literal.value, literal.count, literal.region)

@@ -119,6 +119,10 @@ class TestScan:
         cube_shapes = two_point_shapes(BallSpec("cube", 2), 2)
         assert set(cube_shapes) == {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)}
 
+    def test_shapes_d3_metrics(self):
+        assert two_point_shapes(BallSpec("l1", 3), 2) == [(1, 0, 0), (1, 1, 0), (2, 0, 0)]
+        assert two_point_shapes(BallSpec("cube", 3), 1) == [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
+
     def test_delta_only_family(self):
         recs = scan_extremizers(
             BallSpec("centered1d", 1), max_distance=1, R=500, ratios=(Q(1),)
