@@ -19,12 +19,12 @@ runs for fixed inputs and seeds.
 
 Exit codes: 0 success, 1 property violation, 2 bad arguments or parse
 failure, 3 enumeration cap exceeded, 4 geometry/dimension mismatch.  The cap
-(MAXVAR_ENUM_CAP) bounds the points `count --enumerate` lists and, checked
-before any work, 2(d+1)(k+1) for `count`, which bounds its closed form's
-min(d, k) steps times their O(d + k)-bit integers, the (2R+1)^d points of
-`maxfn --box`, the --terms summed terms of `constant`, `verify` and `scan`,
-and the points the line sweep evaluates for `verify` at --rmax and for
-`scan` at --box.
+(MAXVAR_ENUM_CAP, a positive integer, else exit 2) bounds the points `count
+--enumerate` lists and, checked before any work, 2(d+1)(k+1) for `count`,
+which bounds its closed form's min(d, k) steps times their O(d + k)-bit
+integers, the (2R+1)^d points of `maxfn --box`, the --terms summed terms of
+`constant`, `verify` and `scan`, and the points the line sweep evaluates for
+`verify` at --rmax and for `scan` at --box.
 """
 
 from __future__ import annotations
@@ -161,9 +161,12 @@ def _enum_cap() -> int:
     if raw is None:
         return lattice.DEFAULT_ENUM_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise CliError(f"MAXVAR_ENUM_CAP is not an integer: {raw!r}", EXIT_USAGE)
+    if cap < 1:
+        raise CliError(f"MAXVAR_ENUM_CAP must be >= 1, got {cap}", EXIT_USAGE)
+    return cap
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ which is undefined.
 
 For each (d, kind) the term t_k is a fixed rational function of k,
 num(k) / den(k) with integer-coefficient polynomials (`_term_polynomials`).
-Partial sums evaluate those polynomials at every k and add the quotients as
-exact rationals.  This is exact for every k >= 1, not only where it is
+Partial sums form the polynomials' values at k = 1..K by nested cumulative
+sums over their constant highest forward difference, and add the quotients
+as exact rationals.  This is exact for every k >= 1, not only where it is
 checked: the centered num and den expand the closed form of N(d, k) as a
 polynomial in k (see below), and the uncentered quotient equals the
 defining expression by an algebraic identity in (a + b) and b.
@@ -47,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, islice, repeat
 from math import comb, factorial, lcm
 
 from . import lattice
@@ -109,7 +111,7 @@ def uncentered_constant_partial(d: int, K: int) -> Fraction:
 def _partial_sum(d: int, K: int, kind: str) -> Fraction:
     """2d + sum_{k=1}^{K} num(k) / den(k), from the integer term polynomials."""
     num, den = _term_polynomials(d, kind)
-    return 2 * d + tree_sum((_peval(num, k), _peval(den, k)) for k in range(1, K + 1))
+    return 2 * d + tree_sum(zip(_pvalues(num, K), _pvalues(den, K)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +159,18 @@ def _peval(a: Poly, x: int | Fraction) -> int | Fraction:
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def _pvalues(a: Poly, K: int) -> islice:
+    """a(1), ..., a(K): m nested cumulative sums over the constant m-th
+    forward difference of a, for a of degree m, started from a(1..m+1)."""
+    rows = [[_peval(a, k) for k in range(1, max(len(a), 1) + 1)]]
+    while len(rows[-1]) > 1:
+        rows.append([y - x for x, y in zip(rows[-1], rows[-1][1:])])
+    values = repeat(rows.pop()[0])
+    for row in reversed(rows):
+        values = accumulate(values, initial=row[0])
+    return islice(values, K)
 
 
 def _pshift(a: Poly, h: int) -> Poly:

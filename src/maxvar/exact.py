@@ -10,22 +10,27 @@ from math import gcd
 from typing import Iterable
 
 
+#: denominator size past which `tree_sum` joins reduced Fractions, not integer pairs
+_REDUCE_BITS = 1 << 12
+
+
 def tree_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
     """Exact sum of the rationals n / d given as integer pairs (n, d), d > 0.
 
-    Balanced pairwise reduction on integers: each node joins its children
-    a/b and c/d over the lcm of their denominators, with g = gcd(b, d), as
-    (a (d/g) + c (b/g)) / (b (d/g)).  Summing thousands of rationals with
+    Balanced pairwise reduction: summing thousands of rationals with
     pairwise-coprime denominators left to right would make every step work
     against the full accumulated denominator; the tree keeps the operands
-    small until its top.  No numerator gcd is taken and no Fraction is
-    built along the way: one Fraction, normalised once, is formed at the
-    root.  Callers holding Fractions pass `q.as_integer_ratio()`.
+    small until its top.  While a level's denominators (one pair is checked)
+    have at most `_REDUCE_BITS` bits, each node joins its children a/b and
+    c/d on integers over the lcm of their denominators, with g = gcd(b, d),
+    as (a (d/g) + c (b/g)) / (b (d/g)), and takes no numerator gcd.  Above
+    that the nodes become reduced Fractions, whose `+` takes gcds only of
+    the two denominators and of their common factor (Knuth, TAOCP vol. 2,
+    4.5.1), never one at the root's full size.  Callers holding Fractions
+    pass `q.as_integer_ratio()`.
     """
     items = list(pairs)
-    if not items:
-        return Fraction(0)
-    while len(items) > 1:
+    while len(items) > 1 and items[1][1].bit_length() <= _REDUCE_BITS:
         nxt = []
         for (a, b), (c, d) in zip(items[::2], items[1::2]):
             g = gcd(b, d)
@@ -34,7 +39,10 @@ def tree_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
         if len(items) % 2:
             nxt.append(items[-1])
         items = nxt
-    return Fraction(*items[0])
+    parts = [Fraction(n, d) for n, d in items]
+    while len(parts) > 1:
+        parts = [p + q for p, q in zip(parts[::2], parts[1::2])] + parts[len(parts) & ~1:]
+    return parts[0] if parts else Fraction(0)
 
 
 def decimal_str(q: Fraction, digits: int = 12) -> str:

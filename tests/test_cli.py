@@ -409,6 +409,30 @@ class TestTermsCap:
             assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
 
 
+class TestCapValue:
+    """MAXVAR_ENUM_CAP must be a positive integer: zero or a negative value
+    is a usage error, not a cap that every input exceeds."""
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("args", [
+        ("constant", "--kind", "centered", "--dim", "2", "--terms", "-1"),
+        ("constant", "--kind", "centered", "--dim", "2", "--terms", "10"),
+        ("count", "--dim", "2", "--radius", "1"),
+    ])
+    def test_nonpositive_cap_exit_2(self, cap, args):
+        r = run_cli(*args, env_extra={"MAXVAR_ENUM_CAP": cap})
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+
+    def test_cap_of_one(self):
+        r = run_cli("constant", "--kind", "centered", "--dim", "2", "--terms", "1",
+                    env_extra={"MAXVAR_ENUM_CAP": "1"})
+        assert r.returncode == 0
+        r = run_cli("count", "--dim", "2", "--radius", "1", env_extra={"MAXVAR_ENUM_CAP": "1"})
+        assert r.returncode == 3
+
+
 class TestFormatRational:
     def test_more_than_4300_digits(self):
         from fractions import Fraction as Q

@@ -13,6 +13,9 @@ from maxvar.constants import (
     tail_majorant,
     uncentered_constant_partial,
     uncentered_term,
+    _partial_sum,
+    _peval,
+    _pvalues,
     _term_polynomials,
 )
 
@@ -81,6 +84,35 @@ class TestTermPolynomials:
         else:
             partial, term = uncentered_constant_partial, uncentered_term
         assert partial(d, K) == 2 * d + sum((term(d, k) for k in range(1, K + 1)), Q(0))
+
+
+POLYNOMIALS = {
+    f"{kind}-{d}-{part}": p
+    for kind in ("centered", "uncentered")
+    for d in range(2, 9)
+    for part, p in zip(("num", "den"), _term_polynomials(d, kind))
+} | {"zero": (), "const8": (8,), "const-3": (-3,), "linear": (2, 5), "minus-k": (0, -1)}
+
+
+class TestCumulativeValues:
+    """`_pvalues` forms a(1..K) by nested cumulative sums; Horner is the reference."""
+
+    @pytest.mark.parametrize("name", POLYNOMIALS)
+    def test_equal_horner(self, name):
+        a = POLYNOMIALS[name]
+        m = max(len(a) - 1, 0)
+        for K in (0, 1, 2, m, m + 1, m + 2, 60):
+            assert list(_pvalues(a, K)) == [_peval(a, k) for k in range(1, K + 1)], K
+
+    @pytest.mark.parametrize("kind", ["centered", "uncentered"])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_partial_sums_equal_the_term_sums(self, d, kind):
+        term = centered_term if kind == "centered" else uncentered_term
+        total = Q(2 * d)
+        for K in range(0, 61):
+            if K:
+                total += term(d, K)
+            assert _partial_sum(d, K, kind) == total, K
 
 
 class TestTailMajorants:

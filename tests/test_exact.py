@@ -5,14 +5,23 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from maxvar import exact
 from maxvar.exact import format_rational, parse_rational, tree_sum
 
 Q = Fraction
 
 pairs = st.tuples(st.integers(-(2**80), 2**80), st.integers(1, 2**70))
+
+# denominators on both sides of the size at which tree_sum switches to
+# reduced Fraction subtotals
+BIG = 2**exact._REDUCE_BITS
+mixed_pairs = st.tuples(
+    st.integers(-BIG * 2**64, BIG * 2**64),
+    st.integers(1, 2**20) | st.integers(BIG, BIG * 2**200),
+)
 
 
 def _reference(ps):
@@ -51,6 +60,28 @@ class TestTreeSum:
         q = tree_sum(ps)
         assert q == _reference(ps)
         assert q.denominator > 0 and gcd(q.numerator, q.denominator) == 1
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.lists(mixed_pairs, max_size=40))
+    @example([(-5, BIG + 1)])  # a single pair past the switch
+    @example([(0, BIG + 3), (7, BIG * 3 + 1), (-(BIG + 5), BIG * 5 + 3)])  # odd count
+    @example([(1, 3), (-2, BIG + 1), (0, 5), (BIG, BIG * 7 + 1), (4, BIG * 9 + 1)])
+    def test_both_sides_of_the_switch(self, ps):
+        q = tree_sum(ps)
+        assert q == _reference(ps) and type(q) is Fraction
+        assert q.denominator > 0 and gcd(q.numerator, q.denominator) == 1
+
+    def test_switch_to_reduced_subtotals(self, monkeypatch):
+        # leaves past the switch become Fractions at once and 14 Fraction
+        # additions join the 15 of them; small leaves never add a Fraction
+        large = [(k - 7, (BIG + 2 * k + 1) * (k + 1)) for k in range(15)]
+        small = [(k - 7, 2 * k + 1) for k in range(15)]
+        expected = [_reference(large), _reference(small)]
+        added = []
+        add = Fraction.__add__
+        monkeypatch.setattr(Fraction, "__add__", lambda a, b: added.append(1) or add(a, b))
+        assert tree_sum(large) == expected[0] and len(added) == 14
+        assert tree_sum(small) == expected[1] and len(added) == 14
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(
