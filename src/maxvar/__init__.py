@@ -14,14 +14,7 @@ from .constants import (
     tail_majorant,
     uncentered_constant_partial,
 )
-from .gridfn import (
-    GridFunction,
-    StringDecomposition,
-    line_restriction,
-    lp_norm,
-    string_decomposition,
-    total_variation,
-)
+from .gridfn import GridFunction, total_variation
 from .lattice import (
     EnumerationCapExceeded,
     ShellTable,

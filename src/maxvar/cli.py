@@ -69,6 +69,12 @@ def load_gridfn(path: str) -> GridFunction:
             f"{path}: JSON parse failure at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             EXIT_USAGE,
         )
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: invalid byte at offset {exc.start}", EXIT_USAGE)
+    except ValueError:  # json.load's int() refuses more digits than the interpreter converts
+        raise CliError(f"{path}: JSON parse failure: a number has too many digits", EXIT_USAGE)
+    except RecursionError:
+        raise CliError(f"{path}: JSON parse failure: arrays or objects nested too deeply", EXIT_USAGE)
     try:
         dim = _integer(doc["dim"])
         entries = doc["support"]
@@ -76,6 +82,8 @@ def load_gridfn(path: str) -> GridFunction:
             raise ValueError("dim must be >= 1")
         values: dict[tuple[int, ...], Fraction] = {}
         for i, entry in enumerate(entries):
+            if not isinstance(entry["point"], list):  # a string would be read digit by digit
+                raise ValueError(f"support[{i}]: point is not a JSON array")
             point = tuple(map(_integer, entry["point"]))
             if len(point) != dim:
                 raise ValueError(f"support[{i}]: point has wrong dimension")

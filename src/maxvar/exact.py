@@ -63,9 +63,9 @@ def decimal_str(q: Fraction, digits: int = 12) -> str:
     if twice > scaled.denominator or (twice == scaled.denominator and whole % 2 == 1):
         whole += 1
     if digits == 0:
-        return f"{sign}{whole}"
+        return sign + _digits(whole)
     int_part, frac_part = divmod(whole, scale)
-    return f"{sign}{int_part}.{frac_part:0{digits}d}"
+    return f"{sign}{_digits(int_part)}.{_digits(frac_part).zfill(digits)}"
 
 
 #: most exponent digits `parse_rational` expands: 10^99999 takes milliseconds,

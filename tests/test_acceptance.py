@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from maxvar import constants, lattice
-from maxvar.gridfn import GridFunction, line_restriction, total_variation
+from maxvar.gridfn import GridFunction, total_variation
 from maxvar.maxop import BallSpec, evaluate_on_box
 from maxvar.varanalysis import delta_variation_closed_form, truncated_variation_maxfn
 from maxvar.verify import oracle_agreement, random_gridfn, scan_extremizers
@@ -140,8 +140,7 @@ def test_criterion_08_centered_l1_d2():
     by_distance: dict[int, Q] = {}
     for axis in (0, 1):
         for c in range(-R, R + 1):
-            base = (0, c) if axis == 0 else (c, 0)
-            seq = line_restriction(values, axis, base, box)
+            seq = [values[(t, c) if axis == 0 else (c, t)] for t in range(-R, R + 1)]
             trunc = sum((abs(b - a) for a, b in zip(seq, seq[1:])), Q(0))
             full = trunc + seq[0] + seq[-1]  # exact monotone tail completion
             k = abs(c)

@@ -149,9 +149,10 @@ class TestMaxfn:
             (2, [{"point": [True, 0], "value": "1"}]),
             (1, [{"point": [0], "value": "1e999999999"}]),
             (1, [{"point": [0], "value": "1e" + "9" * 10**6}]),
+            (2, [{"point": "12", "value": "1"}]),
         ],
         ids=["zero-denominator", "float-dim", "bool-dim", "float-coordinate", "bool-coordinate",
-             "huge-exponent", "million-digit-exponent"],
+             "huge-exponent", "million-digit-exponent", "string-point"],
     )
     def test_malformed_numbers_exit_2(self, tmp_path, dim, support):
         doc = write_doc(tmp_path, "f.json", dim, support)
@@ -160,6 +161,24 @@ class TestMaxfn:
         assert r.returncode == 2 and "Traceback" not in r.stderr
         assert r.stderr.startswith("error:") and not out.exists()
         assert len(r.stderr.splitlines()) == 1 and len(r.stderr) < 200  # the input cut short
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"\xff\xfe",
+            b'{"dim": 1, "support": [{"point": [' + b"9" * 5000 + b'], "value": "1"}]}',
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=["not-utf8", "5000-digit-integer", "deep-nesting"],
+    )
+    def test_undecodable_input_exit_2(self, tmp_path, raw):
+        doc = tmp_path / "f.json"
+        doc.write_bytes(raw)
+        out = tmp_path / "o.csv"
+        r = run_cli("maxfn", "--input", str(doc), "--geometry", "cube", "--box", "1", "--output", str(out))
+        assert r.returncode == 2 and "Traceback" not in r.stderr
+        assert r.stderr.startswith("error:") and not out.exists()
+        assert len(r.stderr.splitlines()) == 1 and "9" * 41 not in r.stderr
 
 
 class TestConstant:
@@ -187,6 +206,12 @@ class TestConstant:
         assert r.returncode == 2
         assert r.stdout == ""
         assert r.stderr.splitlines() == ["error: --digits must be >= 0"]
+
+    def test_digits_past_the_int_to_str_limit(self):
+        r = run_cli("constant", "--kind", "centered", "--dim", "2", "--terms", "10", "--digits", "5000")
+        assert r.returncode == 0 and "Traceback" not in r.stderr
+        lower = r.stdout.splitlines()[1].split("[")[1].split(",")[0]
+        assert len(lower.split(".")[1]) == 5000
 
     @pytest.mark.parametrize("terms, code", [("101", 3), ("100", 0)])
     def test_terms_checked_against_enum_cap(self, terms, code):

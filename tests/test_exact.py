@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxvar import exact
-from maxvar.exact import format_rational, parse_rational, tree_sum
+from maxvar.exact import decimal_str, format_rational, parse_rational, tree_sum
 
 Q = Fraction
 
@@ -132,6 +132,14 @@ class TestFormatRational:
         finally:
             sys.set_int_max_str_digits(old)
         assert s == "1" + "0" * 4999 + "1/3"
+
+
+class TestDecimalStr:
+    def test_past_the_digit_limit(self):
+        assert decimal_str(Q(1, 3), 5000) == "0." + "3" * 5000
+        assert decimal_str(Q(-(10**5000)), 0) == "-1" + "0" * 5000
+        # leading zeros of the fraction, and round half to even
+        assert decimal_str(Q(1, 100), 3) == "0.010" and decimal_str(Q(1, 8), 2) == "0.12"
 
 
 class TestParseRational:

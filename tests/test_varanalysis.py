@@ -924,13 +924,25 @@ class TestDeltaClosedFormSums:
             delta_variation_closed_form("centered1d", 2, 5)
 
 
+def _string_levels(seq):
+    """Levels of the strict local maxima and minima of `seq` extended by zeros.
+
+    Equal neighbours are first compressed into one run. The infinite zero
+    runs at both ends have level 0 and add nothing to either sum.
+    """
+    runs = [0]
+    for v in [*seq, 0]:
+        if v != runs[-1]:
+            runs.append(v)
+    triples = list(zip(runs, runs[1:], runs[2:]))
+    return [b for a, b, c in triples if b > max(a, c)], [b for a, b, c in triples if b < min(a, c)]
+
+
 class TestStringsOnMaximalFunctions:
     def test_decomposition_reconciles_with_truncated_variation(self):
-        # feed maximal-function line values to the string machinery: the
-        # zero-extended variation exceeds the in-window variation by exactly
-        # the two boundary jumps
-        from maxvar.gridfn import string_decomposition
-
+        # the string identity of Bober-Carneiro-Hughes-Pierce: the variation
+        # of the zero-extended line is 2 * (sum of maxima - sum of minima),
+        # and it exceeds the in-window variation by the two boundary jumps
         rng = random.Random(41)
         spec = BallSpec("uncentered1d", 1)
         for _ in range(10):
@@ -938,14 +950,13 @@ class TestStringsOnMaximalFunctions:
             R = f.support_radius() + rng.randint(4, 12)
             values = evaluate_on_box(f, spec, ((-R,), (R,)))
             seq = [values[(t,)] for t in range(-R, R + 1)]
-            sd = string_decomposition(seq, start=-R)
+            maxima, minima = _string_levels(seq)
             window_var = sum((abs(b - a) for a, b in zip(seq, seq[1:])), Q(0))
-            assert sd.variation == window_var + seq[0] + seq[-1]
+            assert 2 * (sum(maxima, Q(0)) - sum(minima, Q(0))) == window_var + seq[0] + seq[-1]
             assert truncated_variation_maxfn(f, spec, R) == window_var
-            # interior structure: at least one maxima string, all of them
-            # attaining values of the maximal function
-            assert sd.maxima_levels
-            assert max(sd.maxima_levels) == max(seq)
+            # at least one maxima string, the highest at the maximum of Mf
+            assert maxima
+            assert max(maxima) == max(seq)
 
 
 class TestLineCapTotals:
