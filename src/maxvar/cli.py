@@ -99,9 +99,10 @@ def load_gridfn(path: str) -> GridFunction:
 
 
 def _integer(x) -> int:
-    if isinstance(x, (bool, float)):  # int() would take true as 1 and truncate 2.7
-        raise ValueError(f"{x!r} is not an integer")
-    return int(x)
+    # int() would take true as 1, truncate 2.7 and parse "7", " 7 " and "1_000"
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"{x!r} is not a JSON integer")
+    return x
 
 
 def dump_gridfn(f: GridFunction) -> dict:

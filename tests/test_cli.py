@@ -150,9 +150,14 @@ class TestMaxfn:
             (1, [{"point": [0], "value": "1e999999999"}]),
             (1, [{"point": [0], "value": "1e" + "9" * 10**6}]),
             (2, [{"point": "12", "value": "1"}]),
+            ("1", [{"point": [0], "value": "1"}]),
+            (1, [{"point": ["7"], "value": "1"}]),
+            (1, [{"point": [" 7 "], "value": "1"}]),
+            (1, [{"point": ["1_000"], "value": "1"}]),
         ],
         ids=["zero-denominator", "float-dim", "bool-dim", "float-coordinate", "bool-coordinate",
-             "huge-exponent", "million-digit-exponent", "string-point"],
+             "huge-exponent", "million-digit-exponent", "string-point", "string-dim",
+             "string-coordinate", "spaced-string-coordinate", "underscored-string-coordinate"],
     )
     def test_malformed_numbers_exit_2(self, tmp_path, dim, support):
         doc = write_doc(tmp_path, "f.json", dim, support)

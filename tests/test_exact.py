@@ -141,6 +141,22 @@ class TestDecimalStr:
         # leading zeros of the fraction, and round half to even
         assert decimal_str(Q(1, 100), 3) == "0.010" and decimal_str(Q(1, 8), 2) == "0.12"
 
+    @pytest.mark.parametrize(
+        "q, digits, text",
+        [
+            (Q(5, 2), 0, "2"),
+            (Q(7, 2), 0, "4"),
+            (Q(-5, 2), 0, "-2"),
+            (Q(3, 8), 2, "0.38"),
+            (Q(-3, 8), 2, "-0.38"),
+            (Q(99995, 10000), 3, "10.000"),
+        ],
+        ids=["half-down-to-even", "half-up-to-even", "negative-half", "half-up-fraction",
+             "negative-half-fraction", "carry-into-integer-part"],
+    )
+    def test_round_half_to_even(self, q, digits, text):
+        assert decimal_str(q, digits) == text
+
 
 class TestParseRational:
     @pytest.mark.parametrize(

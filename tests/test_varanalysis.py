@@ -938,6 +938,42 @@ def _string_levels(seq):
     return [b for a, b, c in triples if b > max(a, c)], [b for a, b, c in triples if b < min(a, c)]
 
 
+def _zero_extended_variation(seq):
+    ext = [0, *seq, 0]
+    return sum((abs(b - a) for a, b in zip(ext, ext[1:])), Q(0))
+
+
+class TestStringIdentity:
+    # the identity on sequences worked by hand, so that the strings test
+    # below rests on a helper that is itself checked
+    @pytest.mark.parametrize(
+        "seq, maxima, minima",
+        [
+            ([0, 1, 1, 0, 2, 0], [1, 2], [0]),
+            ([5], [5], []),
+            ([1, 2, 3], [3], []),
+            ([0, 0, 0], [], []),
+            ([2, 2], [2], []),
+            ([3, 1, 3], [3, 3], [1]),
+            ([-1, 2], [2], [-1]),
+        ],
+        ids=["two-strings", "single-spike", "monotone-ramp", "all-zero", "plateau", "valley",
+             "signed"],
+    )
+    def test_levels_by_hand(self, seq, maxima, minima):
+        assert _string_levels(seq) == (maxima, minima)
+        assert 2 * (sum(maxima) - sum(minima)) == _zero_extended_variation(seq)
+
+    def test_random_sequences_match_neighbour_sum(self):
+        rng = random.Random(17)
+        for _ in range(2000):
+            seq = [Q(rng.randint(-2, 4), rng.randint(1, 3)) for _ in range(rng.randint(0, 12))]
+            maxima, minima = _string_levels(seq)
+            assert 2 * (sum(maxima, Q(0)) - sum(minima, Q(0))) == _zero_extended_variation(seq)
+            # strict extrema alternate along the runs
+            assert abs(len(maxima) - len(minima)) <= 1
+
+
 class TestStringsOnMaximalFunctions:
     def test_decomposition_reconciles_with_truncated_variation(self):
         # the string identity of Bober-Carneiro-Hughes-Pierce: the variation
