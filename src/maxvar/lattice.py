@@ -147,7 +147,8 @@ def l1_ball_points(d: int, k: int, cap: int | None = None) -> list[LatticePoint]
             rec(axis + 1, budget - abs(x))
 
     rec(0, k)
-    assert len(out) == total
+    if len(out) != total:
+        raise AssertionError(f"l1 ball d={d} k={k}: enumerated {len(out)} points, counted {total}")
     return out
 
 

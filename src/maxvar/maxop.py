@@ -37,8 +37,9 @@ below are pruned to provably sufficient finite sets:
   the sorted support, taken around n, are the candidates.
 
 Averages are compared by integer cross-multiplication of the masses over
-their common denominator (`GridFunction.integer_masses`), and the winning
-value is formed once as an exact Fraction.  Ties are broken
+their common denominator.  `integer_core` normalises them once per function
+and returns the kernel's integer core, whose winning (mass, count) at a point
+forms no Fraction; only a witness or a box value does.  Ties are broken
 deterministically: smallest radius for centered operators; smallest point
 count, then lexicographic lower corner, then lexicographic upper corner for
 uncentered ones.
@@ -49,10 +50,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, product
 from math import prod
-from typing import Iterator
+from operator import sub
+from typing import Callable, Iterator
 
 from . import lattice
 from .exact import tree_sum
@@ -164,28 +166,26 @@ def centered_max_l1(f: GridFunction, n: LatticePoint) -> ArgmaxWitness:
     consecutive distances the mass is constant and the count strictly
     increases, and beyond the largest the average is ||f||_1 / N(d, r),
     strictly decreasing.  Scanning them in increasing order with strict
-    improvement yields the smallest maximising radius.
+    improvement yields the smallest maximising radius (`_l1_core`).
     """
-    n = tuple(n)
-    if len(n) != f.dim:
-        raise ValueError("point dimension does not match function dimension")
-    if not f:
-        return ArgmaxWitness(Fraction(0), 1, L1Ball(n, 0))
-    masses, scale = f.integer_masses()
+    return maximal_witness(f, BallSpec("l1", f.dim), n)
+
+
+def _l1_core(
+    support: tuple[LatticePoint, ...], masses: list[int], n: LatticePoint
+) -> tuple[int, int, int]:
+    """(mass, count, radius) of the smallest best ball; (0, 1, 0) with no support."""
     by_dist: dict[int, int] = {}
-    for p, m in zip(f.support, masses):
-        k = sum(abs(a - b) for a, b in zip(p, n))
+    for p, m in zip(support, masses):
+        k = sum(map(abs, map(sub, p, n)))
         by_dist[k] = by_dist.get(k, 0) + m
-    best_mass, best_count, best_r = 0, 1, 0
-    mass = 0
+    best, mass, d = (0, 1, 0), 0, len(n)
     for k in sorted(by_dist):
         mass += by_dist[k]
-        count = lattice.l1_ball_count(f.dim, k)
-        if mass * best_count > best_mass * count:
-            best_mass, best_count, best_r = mass, count, k
-    return ArgmaxWitness(
-        Fraction(best_mass, scale * best_count), best_count, L1Ball(n, best_r)
-    )
+        count = lattice.l1_ball_count(d, k)
+        if mass * best[1] > best[0] * count:
+            best = mass, count, k
+    return best
 
 
 def centered_max_1d(f: GridFunction, n: int) -> ArgmaxWitness:
@@ -209,23 +209,17 @@ def uncentered_max_cube(f: GridFunction, n: LatticePoint) -> ArgmaxWitness:
     Tie-break: smallest count, then lexicographic lower corner, then
     lexicographic upper corner.
     """
-    n = tuple(n)
-    if len(n) != f.dim:
-        raise ValueError("point dimension does not match function dimension")
-    if not f:
-        return ArgmaxWitness(Fraction(0), 1, LatticeBox(n, n))
-    masses, scale = f.integer_masses()
-    if f.dim == 1:
-        candidates = _run_boxes([p[0] for p in f.support], masses, n[0])
-    else:
-        candidates = _subset_boxes(f.support, masses, n)
-    best = next(candidates)
-    for cand in candidates:
+    return maximal_witness(f, BallSpec("cube", f.dim), n)
+
+
+def _cube_core(candidates: Callable[..., Iterator[Candidate]], n: LatticePoint) -> Candidate:
+    """Best of `candidates(n)` by that tie-break; (0, 1, n, n) with none."""
+    best = 0, 1, n, n
+    for cand in candidates(n):
         cross = cand[0] * best[1] - best[0] * cand[1]
         if cross > 0 or (cross == 0 and cand[1:] < best[1:]):
             best = cand
-    mass, count, lower, upper = best
-    return ArgmaxWitness(Fraction(mass, scale * count), count, LatticeBox(lower, upper))
+    return best
 
 
 def uncentered_max_1d(f: GridFunction, n: int) -> ArgmaxWitness:
@@ -233,13 +227,14 @@ def uncentered_max_1d(f: GridFunction, n: int) -> ArgmaxWitness:
     return uncentered_max_cube(f, (n,))
 
 
-def _run_boxes(xs: list[int], masses: list[int], c: int) -> Iterator[Candidate]:
-    """Hull of {c} and each run xs[i..j] of the sorted 1-D support.
+def _run_boxes(xs: list[int], masses: list[int], n: LatticePoint) -> Iterator[Candidate]:
+    """Hull of {n} and each run xs[i..j] of the sorted 1-D support.
 
-    Runs ending before the last point <= c, or starting after the first
-    point >= c, are skipped: extending them towards c keeps the hull.
+    Runs ending before the last point <= n, or starting after the first
+    point >= n, are skipped: extending them towards n keeps the hull.
     """
     prefix = list(accumulate(masses, initial=0))
+    (c,) = n
     first = min(bisect_left(xs, c), len(xs) - 1)
     last = max(bisect_right(xs, c) - 1, 0)
     for i in range(first + 1):
@@ -294,10 +289,10 @@ def _closed_boxes(
 
 
 def _subset_boxes(
-    points: tuple[LatticePoint, ...], masses: list[int], n: LatticePoint
+    closures: tuple[tuple[int, LatticePoint, LatticePoint], ...], n: LatticePoint
 ) -> Iterator[Candidate]:
     """Minimal-count admissible box around hull(n, S) per closed subset S."""
-    for mass, hull_lo, hull_hi in hull_closures(points, tuple(masses)):
+    for mass, hull_lo, hull_hi in closures:
         # conditional expressions: this loop runs once per point and closure
         his = [h if h > c else c for h, c in zip(hull_hi, n)]
         extents = [h - (l if l < c else c) + 1 for l, h, c in zip(hull_lo, his, n)]
@@ -339,28 +334,41 @@ def delta_uncentered_cube_closed_form(p: LatticePoint, n: LatticePoint) -> Fract
 # Box evaluation
 # ---------------------------------------------------------------------------
 
-def maximal_value(f: GridFunction, spec: BallSpec, n: LatticePoint) -> Fraction:
-    return maximal_witness(f, spec, n).value
-
-
 def maximal_witness(f: GridFunction, spec: BallSpec, n: LatticePoint | int) -> ArgmaxWitness:
+    core, scale = integer_core(f, spec)
+    n = (n,) if isinstance(n, int) else tuple(n)
+    if len(n) != f.dim:
+        raise ValueError("point dimension does not match function dimension")
+    mass, count, *region = core(n)
+    region = L1Ball(n, *region) if spec.centered else LatticeBox(*region)
+    return ArgmaxWitness(Fraction(mass, scale * count), count, region)
+
+
+def integer_core(f: GridFunction, spec: BallSpec) -> tuple[Callable, int]:
+    """f's kernel core, a function of the point alone, and the scale: the
+    winner's (mass, count, region data) at n, Mf(n) = mass / (scale * count).
+    The masses, and the cube's closed boxes, are formed once."""
     if spec.dim != f.dim:
         raise ValueError(f"spec dim {spec.dim} does not match function dim {f.dim}")
-    if isinstance(n, int):
-        n = (n,)
-    kernel = centered_max_l1 if spec.centered else uncentered_max_cube
-    return kernel(f, n)
+    masses, scale = f.integer_masses()
+    if spec.centered:
+        return partial(_l1_core, f.support, masses), scale
+    if f.dim == 1:
+        return partial(_cube_core, partial(_run_boxes, [p[0] for p in f.support], masses)), scale
+    closures = hull_closures(f.support, tuple(masses)) if f else ()
+    return partial(_cube_core, partial(_subset_boxes, closures)), scale
 
 
 def evaluate_on_box(
     f: GridFunction, spec: BallSpec, box: Box
 ) -> dict[LatticePoint, Fraction]:
     """Maximal function values at every lattice point of `box`, in
-    lexicographic order; identical to pointwise calls."""
+    lexicographic order; identical to pointwise calls, from one core."""
     lower, upper = box
     if len(lower) != f.dim:
         raise ValueError("box dimension does not match function dimension")
     if any(l > u for l, u in zip(lower, upper)):
         raise ValueError("invalid box")
+    core, scale = integer_core(f, spec)
     axes = [range(l, u + 1) for l, u in zip(lower, upper)]
-    return {p: maximal_witness(f, spec, p).value for p in product(*axes)}
+    return {p: Fraction(*core(p)[:2]) / scale for p in product(*axes)}

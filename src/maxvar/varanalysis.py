@@ -63,12 +63,12 @@ an adjacent-pair tournament of cross-multiplications; each point keeps the
 lowest-index maximum, as a sequential scan would.  Its arrays are int64
 while `_grid_products_fit_int64` keeps every product exact, and object
 arrays of Python ints otherwise.  It takes every cube input, at any support
-size, and every l1 input at d = 2 whose s^2 distance comparisons per point
-leave room for a block of two stops in `_CHUNK_CELLS`.  Every other l1
-input takes each distinct point's value from `maxop.maximal_value` once
-(the faster evaluator past about 100 support points), as object arrays
-with scale 1.  The lemma is a statement about the values of Mf, not about
-how they are computed, so the compression is exact for both evaluators.
+size, and every l1 input at d = 2 of at most `_L1_GRID_POINTS` = 72 points
+(the two evaluators cross between 64 and 80).  Every other l1 input takes
+each distinct point's unreduced (mass, count) from one `maxop.integer_core`
+per sweep, as object arrays.  The lemma is a statement about the values of
+Mf, not about how they are computed, so the compression is exact for both
+evaluators.
 
 Cost: d (2R+1)^(d-1) lines of at most span + 2 points each (`sweep_points`),
 span being the support's extent along the line's axis, times C candidates
@@ -98,6 +98,8 @@ from .maxop import BallSpec
 #: cells per array of a chunk, summed over the candidate axis (s^2 distance
 #: comparisons per point for l1), unless two stops need more: 512 KiB of int64
 _CHUNK_CELLS = 2**16
+#: 2-D l1 supports past this many points take the exact evaluator, the faster one
+_L1_GRID_POINTS = 72
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +118,8 @@ def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fracti
     stops = [list(chain(*parts)) for parts in _stops(f, R)]
     if not f:
         return Fraction(0)
-    if spec.centered and (f.dim != 2 or len(f.support) ** 2 > _CHUNK_CELLS // 2):
-        return _sweep(_exact_values(f, spec), 1, 1, R, stops)
+    if spec.centered and (f.dim != 2 or len(f.support) > _L1_GRID_POINTS):
+        return _sweep(*_exact_values(f, spec), R, stops)
     fits = _grid_products_fit_int64(f, spec.centered, R)
     return _sweep(*_vectorised_values(f, spec.centered, np.int64 if fits else object), R, stops)
 
@@ -223,12 +225,11 @@ def _add_run_boundaries(num, den, dens, totals):
 
 
 def _exact_values(f: GridFunction, spec: BallSpec):
-    """Evaluator of exact values: object arrays of the numerators and
-    denominators of `maxop.maximal_value`, once per distinct point."""
-    pairs = np.frompyfunc(
-        cache(lambda *point: maxop.maximal_value(f, spec, point).as_integer_ratio()), f.dim, 2
-    )
-    return lambda coords: pairs(*coords)
+    """Evaluator of exact (mass, count) pairs, once per distinct point, as
+    object arrays, with its width 1 and scale."""
+    core, scale = maxop.integer_core(f, spec)
+    pairs = np.frompyfunc(cache(lambda *point: core(point)[:2]), f.dim, 2)
+    return (lambda coords: pairs(*coords)), 1, scale
 
 
 # -- vectorised evaluator ----------------------------------------------------

@@ -233,6 +233,10 @@ lattice.l1_ball_count = count
 term = constants.centered_term
 constants.centered_term = lambda d, k: term(d, k) + (k == 40)
 print(raises(constants._term_polynomials, 4, "centered"))
+
+lattice.l1_ball_count = lambda d, k: count(d, k) + 1
+print(raises(lattice.l1_ball_points, 2, 3))
+lattice.l1_ball_count = count
 """
 
 
@@ -245,4 +249,4 @@ def test_certificate_checks_survive_python_O():
         capture_output=True, text=True, timeout=300,
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["True"] * 5
+    assert r.stdout.split() == ["True"] * 6

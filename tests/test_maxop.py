@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -433,3 +434,28 @@ class TestEvaluateOnBox:
     def test_invalid_box(self):
         with pytest.raises(ValueError):
             evaluate_on_box(GridFunction.delta(0), BallSpec("centered1d", 1), ((1,), (0,)))
+        with pytest.raises(ValueError):
+            evaluate_on_box(GridFunction.delta((0, 0)), BallSpec("l1", 3), ((0, 0), (1, 1)))
+
+    @pytest.mark.parametrize("d, radius", [(1, 6), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("geometry", ["l1", "cube"])
+    def test_matches_pointwise_witnesses(self, geometry, d, radius):
+        # one integer core per box against a kernel call per point, on
+        # signed inputs, the zero function among them, and boxes that
+        # reach past the support
+        spec = BallSpec(geometry, d)
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=15)
+        @given(
+            st.dictionaries(st.tuples(*[st.integers(-radius, radius)] * d), _signed, max_size=6),
+            st.tuples(*[st.integers(-radius - 2, radius)] * d),
+            st.tuples(*[st.integers(0, 3)] * d),
+        )
+        def check(values, lower, sides):
+            f = GridFunction(d, values)
+            upper = tuple(l + s for l, s in zip(lower, sides))
+            points = product(*[range(l, u + 1) for l, u in zip(lower, upper)])
+            want = [(p, maximal_witness(f, spec, p).value) for p in points]
+            assert list(evaluate_on_box(f, spec, (lower, upper)).items()) == want
+
+        check()

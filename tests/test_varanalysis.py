@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from maxvar import constants, maxop, varanalysis
 from maxvar.gridfn import GridFunction
 from maxvar.lattice import l1_shell_count
-from maxvar.maxop import BallSpec, evaluate_on_box, maximal_value
+from maxvar.maxop import BallSpec, evaluate_on_box, maximal_witness
 from maxvar.oracle import brute_variation
 from maxvar.verify import verify_uncentered_var_bound_1d
 from maxvar.varanalysis import (
@@ -486,7 +486,7 @@ class TestTournament:
         for x, y in [(0, 0), (-6, 2), (0, 0), (5, -1)]:
             num, den = values([np.array([[x]]), np.array([[y]])])
             got = Q(int(num[0, 0]), scale * int(den[0, 0]))
-            assert got == maximal_value(f, BallSpec("cube", 2), (x, y))
+            assert got == maximal_witness(f, BallSpec("cube", 2), (x, y)).value
 
     def test_single_candidate_takes_no_round(self):
         den = np.arange(1, 13, dtype=np.int64).reshape(1, 3, 4)
@@ -523,9 +523,10 @@ class TestCubeCount:
             values([np.array([[c]]) for c in n])
             assert stacks[0].dtype == np.dtype(dtype)
             got = [int(c) for c in stacks[0][:, 0, 0]]
-            assert got == [box[1] for box in maxop._subset_boxes(f.support, masses, n)]
+            closures = maxop.hull_closures(f.support, tuple(masses))
+            assert got == [box[1] for box in maxop._subset_boxes(closures, n)]
             want = []
-            for _, lower, upper in maxop.hull_closures(f.support, tuple(masses)):
+            for _, lower, upper in closures:
                 e = [max(h, c) - min(l, c) + 1 for l, h, c in zip(lower, upper, n)]
                 m = max(e)
                 k = e.count(m)
@@ -609,7 +610,7 @@ class TestChunkBudget:
         spec = BallSpec("cube", d)
         assert varanalysis._grid_products_fit_int64(f, False, R) == (scale == 1)
         want = varanalysis._sweep(
-            varanalysis._exact_values(f, spec), 1, 1, R,
+            *varanalysis._exact_values(f, spec), R,
             [list(chain(*parts)) for parts in varanalysis._stops(f, R)],
         )
         var, arrays, sizes = self._recorded(f, spec, R, monkeypatch)
@@ -648,7 +649,7 @@ class TestChunkBudget:
         R = f.support_radius() + 3
         width = len(maxop.hull_closures(f.support, tuple(f.integer_masses()[0])))
         want = varanalysis._sweep(
-            varanalysis._exact_values(f, spec), 1, 1, R,
+            *varanalysis._exact_values(f, spec), R,
             [list(chain(*parts)) for parts in varanalysis._stops(f, R)],
         )
         monkeypatch.setattr(varanalysis, "_exact_values", _no_exact_values)
@@ -661,7 +662,10 @@ class TestChunkBudget:
             assert max(a.size for a in arrays) <= 2 * width
             assert max(sizes) == 2 * width
 
-    def test_2d_l1_takes_the_exact_evaluator_past_half_the_budget(self, monkeypatch):
+    def test_2d_l1_takes_the_exact_evaluator_past_the_point_limit(self, monkeypatch):
+        # the support size alone routes 2-D l1, at any budget: a budget
+        # below two stops' candidates leaves the vectorised evaluator two
+        # stops of one line at a time
         f = _eight_point(random.Random("l1"))
         spec = BallSpec("l1", 2)
         R = f.support_radius() + 3
@@ -675,16 +679,18 @@ class TestChunkBudget:
 
         monkeypatch.setattr(varanalysis, "_exact_values", counting)
         width = len(f.support) ** 2
-        for cells in (1, 2 * width - 1, 2 * width, varanalysis._CHUNK_CELLS):
-            monkeypatch.setattr(varanalysis, "_CHUNK_CELLS", cells)
-            calls.clear()
-            assert truncated_variation_maxfn(f, spec, R) == want
-            assert len(calls) == (width > cells // 2)
+        for limit in (1, 7, 8, varanalysis._L1_GRID_POINTS):
+            for cells in (1, 2 * width - 1, 2 * width, varanalysis._CHUNK_CELLS):
+                monkeypatch.setattr(varanalysis, "_L1_GRID_POINTS", limit)
+                monkeypatch.setattr(varanalysis, "_CHUNK_CELLS", cells)
+                calls.clear()
+                assert truncated_variation_maxfn(f, spec, R) == want
+                assert len(calls) == (len(f.support) > limit)
 
     @pytest.mark.parametrize("geometry", ["l1", "cube"])
     def test_blocks_add_up_to_the_whole_line(self, geometry, monkeypatch):
-        # with the least budget the vectorised evaluator takes, every block
-        # is one edge of one line
+        # with a budget of two stops' candidates every block is one edge of
+        # one line
         f = _eight_point(random.Random(geometry))
         spec = BallSpec(geometry, 2)
         want = truncated_variation_maxfn(f, spec, 12)
@@ -767,23 +773,31 @@ class TestSweepPoints:
                 truncated_variation_maxfn(f, BallSpec(geometry, d), R)
                 assert sum(seen) == varanalysis.sweep_points(f, R)
 
-    def test_exact_evaluator_calls_the_kernel_once_per_distinct_point(self, monkeypatch):
+    def test_exact_evaluator_calls_the_core_once_per_distinct_point(self, monkeypatch):
         # support box [-1, 1]^3 at R = 4: each axis stops at {-4, -1, 0, 1, 4},
-        # so the sweep meets 9^3 - 4^3 distinct points of its 1,215 stops
+        # so the sweep meets 9^3 - 4^3 distinct points of its 1,215 stops;
+        # the masses are normalised once per sweep, not once per point
         f = GridFunction(3, {(-1, -1, -1): 1, (1, 0, 1): Q(2, 3), (0, 1, 0): 3})
         spec = BallSpec("l1", 3)
-        calls = []
-        kernel = maxop.maximal_value
+        calls, normalised = [], []
+        core, normalise = maxop._l1_core, GridFunction.integer_masses
 
-        def counting(g, s, point):
-            assert all(type(c) is int for c in point)  # no numpy integers reach the kernel
+        def counting_core(support, masses, point):
+            # no numpy integers reach the core
+            assert all(type(c) is int for c in chain(point, masses, *support))
             calls.append(point)
-            return kernel(g, s, point)
+            return core(support, masses, point)
 
-        monkeypatch.setattr(maxop, "maximal_value", counting)
+        def counting_masses(g):
+            normalised.append(g)
+            return normalise(g)
+
+        monkeypatch.setattr(maxop, "_l1_core", counting_core)
+        monkeypatch.setattr(GridFunction, "integer_masses", counting_masses)
         var = truncated_variation_maxfn(f, spec, 4)
         assert varanalysis.sweep_points(f, 4) == 1215
         assert len(calls) == len(set(calls)) == 9**3 - 4**3
+        assert normalised == [f]
         monkeypatch.undo()
         assert var == _box_reference(f, spec, 4)
 
@@ -795,6 +809,29 @@ class TestSweepPoints:
         assert varanalysis.sweep_points(f, 3) == 7 * 6 + 7 * 3
         with pytest.raises(ValueError):
             varanalysis.sweep_points(GridFunction.delta((3, 0)), 2)
+
+
+class TestExactValues:
+    @pytest.mark.parametrize("d, radius", [(1, 6), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("geometry", ["l1", "cube"])
+    def test_pairs_equal_the_kernel_values(self, geometry, d, radius):
+        # the unreduced (mass, count) pairs over the sweep's scale, at every
+        # point of a box reaching two past the support
+        spec = BallSpec(geometry, d)
+        reach = radius + 2
+        grid = list(np.indices((2 * reach + 1,) * d) - reach)
+
+        @settings(SWEEP, max_examples=10)
+        @given(_functions(d, radius, 1, 6))
+        def check(f):
+            values, width, scale = varanalysis._exact_values(f, spec)
+            num, den = values(grid)
+            assert width == 1 and num.dtype == den.dtype == np.dtype(object)
+            for idx in np.ndindex(num.shape):
+                point = tuple(int(c[idx]) for c in grid)
+                assert Q(num[idx], scale * den[idx]) == maximal_witness(f, spec, point).value
+
+        check()
 
 
 class TestAdaptiveVariation:
@@ -882,7 +919,7 @@ class TestLineCaps:
             rest = [c + o for c, o in zip(p[:axis] + p[axis + 1 :], offset)]
             line = LatticeLine(axis, tuple(rest[:axis] + [7] + rest[axis:]))
             seq = [
-                maximal_value(f, spec, tuple(rest[:axis] + [t] + rest[axis:]))
+                maximal_witness(f, spec, tuple(rest[:axis] + [t] + rest[axis:])).value
                 for t in range(p[axis] - W, p[axis] + W + 1)
             ]
             measured = sum(abs(b - a) for a, b in zip(seq, seq[1:]))
