@@ -23,7 +23,10 @@ failure, 3 enumeration cap exceeded, 4 geometry/dimension mismatch.  The cap
 --enumerate` lists and, checked before any work, 2(d+1)(k+1) for `count`,
 which bounds its closed form's min(d, k) steps times their O(d + k)-bit
 integers, the (2R+1)^d points of `maxfn --box`, the --terms summed terms of
-`constant`, `verify` and `scan`, and the points the line sweep evaluates for
+`constant`, `verify` and `scan`, (2d)^3 for `constant --dim d`, which bounds
+the (2d)^2 steps of shifting its certificate's degree-2d polynomials times
+their O(d)-digit coefficients, the 3D digits of the three decimals
+`constant --digits D` prints, and the points the line sweep evaluates for
 `verify` at --rmax and for `scan` at --box.
 """
 
@@ -227,6 +230,15 @@ def cmd_constant(args: argparse.Namespace) -> int:
     if args.digits < 0:
         raise CliError("--digits must be >= 0", EXIT_USAGE)
     _check_terms(args.terms)
+    cap = _enum_cap()
+    if (2 * d) ** 3 > cap:
+        raise CliError(
+            f"--dim {d} costs up to {(2 * d) ** 3} steps times digits, cap is {cap}", EXIT_CAP
+        )
+    if 3 * args.digits > cap:
+        raise CliError(
+            f"--digits {args.digits} prints {3 * args.digits} digits, cap is {cap}", EXIT_CAP
+        )
     try:
         enc = constants.constant_enclosure(d, args.terms, kind)
     except ValueError as exc:

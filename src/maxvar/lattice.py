@@ -1,6 +1,7 @@
 """Exact lattice-point counting and box geometry on Z^d.
 
-The central quantity is the closed cross-polytope count
+The first of the two counts defined here, on ints and arrays alike, is the
+closed cross-polytope count
 
     N(d, k) = #{p in Z^d : |p_1| + ... + |p_d| <= k}
             = sum_{i=0}^{min(d, k)} 2^i C(d, i) C(k, i),
@@ -19,9 +20,10 @@ on demand.
 The module also enumerates the axis-aligned lattice boxes that arise as
 traces of real cubes: a cube of side 2r meets each coordinate axis in an
 interval of one common real length, so its per-axis lattice point counts
-differ by at most one.  `admissible_boxes_through` enumerates exactly those
-boxes and `box_realization` produces an explicit rational cube witnessing
-realizability.  That enumeration is the search set of
+differ by at most one.  The second count, `cube_count`, is that of the
+least such box around a hull.  `admissible_boxes_through` enumerates exactly
+those boxes and `box_realization` produces an explicit rational cube
+witnessing realizability.  That enumeration is the search set of
 `oracle.brute_uncentered_cube`, and no fast path uses it; like every
 enumeration here it stops at the cap, so the cube oracle raises
 `EnumerationCapExceeded` past 10^7 boxes, which the CLI maps to exit 3.
@@ -31,10 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate, product
-from math import comb
+from math import comb, prod
 from typing import Iterator, Sequence
+
+import numpy as np
 
 LatticePoint = tuple[int, ...]
 Box = tuple[LatticePoint, LatticePoint]
@@ -52,17 +56,22 @@ class EnumerationCapExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=2**12)
-def l1_ball_count(d: int, k: int) -> int:
-    """Number of lattice points p in Z^d with |p|_1 <= k."""
+def l1_ball_count(d: int, k):
+    """Number of lattice points p in Z^d with |p|_1 <= k, cached for an int
+    k; `l1_ball_count.__wrapped__` takes an int64 or object array of radii,
+    unchecked, and is exact while d^2 N(d, max k) fits its dtype."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if k < 0:
+    if isinstance(k, int) and k < 0:
         raise ValueError(f"radius must be >= 0, got {k}")
-    # term_i = 2^i C(d, i) C(k, i); each division is exact, since
-    # term_i * 2 (d - i) (k - i) = term_{i+1} * (i + 1)^2
-    total = term = 1
-    for i in range(min(d, k)):
-        term = term * 2 * (d - i) * (k - i) // ((i + 1) * (i + 1))
+    # term_i = 2^i C(d, i) C(k, i) vanishes from i = k + 1 on, so an array
+    # runs all d steps; each division is exact, since term_i 2 (d - i) (k - i)
+    # = term_{i+1} (i + 1)^2, which stays below d^2 N(d, k)
+    term = k * (2 * d)
+    total = term + 1
+    for i in range(1, min(d, k) if isinstance(k, int) else d):
+        term *= (k - i) * (2 * (d - i))
+        term //= (i + 1) * (i + 1)
         total += term
     return total
 
@@ -123,12 +132,8 @@ def l1_ball_points(d: int, k: int, cap: int | None = None) -> list[LatticePoint]
     count N(d, k) exceeds the cap; the caller should fall back to
     counting-only code paths.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if k < 0:
-        raise ValueError(f"radius must be >= 0, got {k}")
     cap = DEFAULT_ENUM_CAP if cap is None else cap
-    total = l1_ball_count(d, k)
+    total = l1_ball_count(d, k)  # rejects d < 1 and k < 0
     if total > cap:
         raise EnumerationCapExceeded(
             f"l1 ball d={d} k={k} holds {total} points, cap is {cap}"
@@ -240,6 +245,33 @@ def admissible_boxes_through(
                 if yielded > cap:
                     raise EnumerationCapExceeded(f"box enumeration exceeded cap {cap}")
                 yield corner, tuple(c + l - 1 for c, l in zip(corner, profile))
+
+
+def cube_count(extents):
+    """prod_i max(e_i, M - 1), M = max(e): the least point count of an
+    admissible box around a hull of extents e, d ints or d int64 or object
+    arrays that broadcast together (e[0] itself at d = 1).  It is the largest
+    of prod(e) and e_j (e_j - 1)^|T| prod_{i not in T, i != j} e_i over axes j
+    and nonempty sets T of other axes, the one with e_j = M and T = {i : e_i <
+    M - 1} equal to it.  At d = 2 they are ab, a(a - 1) and b(b - 1): only ab
+    takes the full broadcast shape, and an array count is updated in place."""
+    e = extents
+    count = prod(e[1:], start=e[0])
+    for j, k, kept in _cube_products(len(e)):
+        term = prod([e[j] - 1] * k + [e[i] for i in kept], start=e[j])
+        if isinstance(count, np.ndarray):
+            np.maximum(count, term, out=count)
+        else:
+            count = max(count, term)
+    return count
+
+
+@cache
+def _cube_products(d: int) -> tuple[tuple[int, int, list[int]], ...]:
+    """(j, |T|, the axes outside T and j) per axis j and nonempty T."""
+    return tuple((j, sum(cut), [i for i, c in enumerate(cut) if i != j and not c])
+                 for j in range(d) for cut in product((0, 1), repeat=d)
+                 if any(cut) and not cut[j])
 
 
 def _count_profiles(d: int, side: int) -> Iterator[tuple[int, ...]]:

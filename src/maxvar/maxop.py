@@ -322,12 +322,10 @@ def delta_uncentered_cube_closed_form(p: LatticePoint, n: LatticePoint) -> Fract
     """Value at n of the cube maximal function of a unit delta at p.
 
     With M = |n - p|_inf, the cheapest admissible box around both points
-    has max(|n_i - p_i| + 1, M) points along axis i: M + 1 along the
-    extremal axes, M along the others, and 1 when n = p.
+    (`lattice.cube_count`) has max(|n_i - p_i| + 1, M) points along axis i:
+    M + 1 along the extremal axes, M along the others, and 1 when n = p.
     """
-    diffs = [abs(a - b) for a, b in zip(p, n)]
-    m = max(diffs)
-    return Fraction(1, prod(max(x + 1, m) for x in diffs))
+    return Fraction(1, lattice.cube_count([abs(a - b) + 1 for a, b in zip(p, n)]))
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, product
-from math import prod
 
 import numpy as np
 
@@ -100,6 +99,8 @@ from .maxop import BallSpec
 _CHUNK_CELLS = 2**16
 #: 2-D l1 supports past this many points take the exact evaluator, the faster one
 _L1_GRID_POINTS = 72
+#: N(d, k) for arrays of radii, which the cache of `lattice.l1_ball_count` cannot hash
+_ball_counts = lattice.l1_ball_count.__wrapped__
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +154,15 @@ def _grid_products_fit_int64(f: GridFunction, centered: bool, R: int) -> bool:
 
     The largest numerator is the scaled total mass, the largest denominator
     the largest ball (`centered`) or box count reachable inside the sweep;
-    their product is the biggest value formed.  Otherwise the evaluator
-    runs on object arrays.  Either bound is one closed form, O(1) at any R.
+    their product is the biggest value formed, and d^2 times the ball count
+    bounds the intermediates of forming one.  Otherwise the evaluator runs
+    on object arrays.  Either bound is one closed form, O(1) at any R.
     """
     masses, _ = f.integer_masses()
     span, d = f.support_radius(), f.dim
     box = (2 * R + 2 * span + 2) ** d
     max_den = lattice.l1_ball_count(d, d * (R + span) + 2) if centered else box
-    return sum(masses) * max_den < 2**62
+    return sum(masses) * max_den < 2**62 and max_den * d * d < 2**63
 
 
 def _sweep(values, width: int, scale: int, R: int, stops: list[list[int]]) -> Fraction:
@@ -255,12 +257,8 @@ def _vectorised_values(f: GridFunction, centered: bool, dtype):
         mass, lower, upper = zip(*closures)
         columns = np.array([mass, *zip(*lower), *zip(*upper)], dtype=dtype)[:, :, None, None]
         columns.flags.writeable = False  # shared by every chunk of the sweep
-        # e_j (e_j - 1)^|T| prod_{i not in T, i != j} e_i per axis j and nonempty
-        # subset T of the other axes, as (j, |T|, the other axes not in T)
-        terms = [(j, sum(cut), [i for i, c in enumerate(cut) if i != j and not c])
-                 for j in range(d) for cut in product((0, 1), repeat=d) if any(cut) and not cut[j]]
         rows = list(columns)  # row views formed once, not per chunk
-        candidates = partial(_cube_candidates, terms, rows[0], rows[1 : d + 1], rows[d + 1 :])
+        candidates = partial(_cube_candidates, rows[0], rows[1 : d + 1], rows[d + 1 :])
         width = len(closures)
     return (lambda coords: _best(*candidates(*coords))), width, scale
 
@@ -289,8 +287,8 @@ def _best(num, den):
 
 def _l1_candidates_2d(px, py, masses, x, y):
     """Per support point p, stacked: the mass within k = |(x, y) - p|_1 of
-    (x, y) over N(2, k) = 2k^2 + 2k + 1, the radii `maxop.centered_max_l1`
-    scans, both in the dtype of `masses`."""
+    (x, y) over N(2, k), the radii `maxop.centered_max_l1` scans, both in
+    the dtype of `masses`."""
     dist = np.abs(x - px) + np.abs(y - py)
     # within[j, i]: support point i lies within distance dist[j]
     within = dist[None] <= dist[:, None]
@@ -298,24 +296,15 @@ def _l1_candidates_2d(px, py, masses, x, y):
         mass = (within * masses[:, None, None]).sum(axis=1)
     else:
         mass = np.einsum("ji...,i->j...", within, masses)
-    k = dist.astype(masses.dtype, copy=False)
-    return mass, 2 * k * (k + 1) + 1
+    return mass, _ball_counts(2, dist.astype(masses.dtype, copy=False))
 
 
-def _cube_candidates(terms, mass, lower, upper, *coords):
+def _cube_candidates(mass, lower, upper, *coords):
     """Per closed support subset S of `maxop.hull_closures`, stacked: its
-    mass over the least count of an admissible box around the hull of S and
-    the point.  For hull extents e with M = max(e), that count is
-    prod_i max(e_i, M - 1) = M^k (M - 1)^(d - k), k = #{i : e_i = M}.  No
-    product in `terms` exceeds it, and the one with e_j = M and T the axes
-    with e_i < M - 1 equals it (prod e does when T is empty), so it is their
-    largest.  At d = 2 they are ab, a(a - 1) and b(b - 1): only ab is formed
-    at full size, the others broadcast along the stops or the lines."""
+    mass over `lattice.cube_count` of the extents of the hull of S and the
+    point, the least count of an admissible box around both."""
     e = [np.maximum(hi, c) - np.minimum(lo, c) + 1 for lo, hi, c in zip(lower, upper, coords)]
-    den = prod(e[1:], start=e[0])
-    for j, k, kept in terms:
-        np.maximum(den, prod([e[j] - 1] * k + [e[i] for i in kept], start=e[j]), out=den)
-    return mass, den
+    return mass, lattice.cube_count(e)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,24 @@ class TestConstant:
             assert len(r.stderr.splitlines()) == 1
             assert r.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("kind, flag, value, code", [
+        ("centered", "--dim", "5", 0),  # (2d)^3 = 1000
+        ("uncentered", "--dim", "5", 0),
+        ("centered", "--dim", "6", 3),  # 1728
+        ("uncentered", "--dim", "6", 3),
+        ("centered", "--digits", "333", 0),  # three decimals of 333 digits
+        ("centered", "--digits", "334", 3),
+    ])
+    def test_dim_and_digits_checked_against_enum_cap(self, kind, flag, value, code):
+        args = {"--dim": "2", "--digits": "12", flag: value}
+        r = run_cli("constant", "--kind", kind, "--terms", "10", *(a for kv in args.items() for a in kv),
+                    env_extra={"MAXVAR_ENUM_CAP": "1000"})
+        assert r.returncode == code
+        if code:
+            assert r.stdout == ""
+            assert len(r.stderr.splitlines()) == 1
+            assert r.stderr.startswith("error: ")
+
 
 class TestVerify:
     def test_suite_lemmas_passes(self):
@@ -456,8 +474,10 @@ class TestCapValue:
         assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
 
     def test_cap_of_one(self):
-        r = run_cli("constant", "--kind", "centered", "--dim", "2", "--terms", "1",
-                    env_extra={"MAXVAR_ENUM_CAP": "1"})
+        # one sweep point, one summed term; no `constant` fits: its --dim and
+        # --digits cost more than 1
+        r = run_cli("scan", "--geometry", "centered1d", "--radius", "0", "--box", "0",
+                    "--terms", "1", env_extra={"MAXVAR_ENUM_CAP": "1"})
         assert r.returncode == 0
         r = run_cli("count", "--dim", "2", "--radius", "1", env_extra={"MAXVAR_ENUM_CAP": "1"})
         assert r.returncode == 3
@@ -536,8 +556,17 @@ class TestGoldenOutputs:
              "40da68c190c4debb10efe0c43cf78eff3ff607905e2e638990095de6287774e8"),
             (("verify", "--suite", "sharpness"),
              "d205fb13b7de76a348f26331f9af1bf6ae32bd6423a0704b1b1593884078f4fb"),
+            (("count", "--dim", "3", "--radius", "12", "--enumerate"),
+             "e6f0bde312792dc7b8b3a266e49762c2638f227636cb8b13b893dc6708f32046"),
+            (("count", "--dim", "6", "--radius", "100000"),
+             "dc2bec69ce4cd9db689811b2ea8826a54257081fedec20c5e7b144cc8c9c6f79"),
+            (("constant", "--kind", "centered", "--dim", "3", "--terms", "2000"),
+             "fc3237ed3522fb2fb492c8e3da9ff0fa867941e0ddd0f3eb2cfaa1da8234cf98"),
+            (("constant", "--kind", "uncentered", "--dim", "4", "--terms", "2000"),
+             "ee680cff4b8a44d273220a6f95e9bc74805976e1ad63be004cb0c8342bbc0ed8"),
         ],
-        ids=["scan-centered1d", "scan-uncentered1d", "scan-l1", "scan-cube", "sharpness"],
+        ids=["scan-centered1d", "scan-uncentered1d", "scan-l1", "scan-cube", "sharpness",
+             "count-enumerate", "count-d6", "constant-centered3", "constant-uncentered4"],
     )
     def test_stdout_digest(self, args, digest):
         r = subprocess.run(CLI + list(args), capture_output=True, timeout=300)
@@ -585,3 +614,39 @@ class TestGoldenOutputs:
         assert r.returncode == 0, r.stderr
         assert hashlib.sha256(r.stdout).hexdigest() == stdout_digest
         assert hashlib.sha256(r.stderr).hexdigest() == stderr_digest
+
+    SIGNED_2D = [{"point": [0, 0], "value": "3/2"}, {"point": [2, -1], "value": "-1/3"},
+                 {"point": [-1, 3], "value": "2"}]
+    PAIR_3D = [{"point": [0, 0, 0], "value": "1"}, {"point": [1, -2, 1], "value": "-5/7"}]
+
+    @pytest.mark.parametrize(
+        "geometry, dim, support, digest",
+        [
+            ("l1", 2, SIGNED_2D, "4a78b96cea25051d325f74f5d80ded2d2c6bb7f3a4d8dd8e36918a95d796ed01"),
+            ("cube", 2, SIGNED_2D, "9d389e28e31fdbc2e3de5e4d1559d9ab87b710317d1345f59b4d04eca2ac433a"),
+            ("l1", 3, PAIR_3D, "2f68aa244951b4fb78a9b24024b7124f1337accbf331edf4f170732d62a50661"),
+            ("cube", 3, PAIR_3D, "4d74be39328d4db91e80f926e4924e0c1fedfbd7a017fa2f46649e5ff8eaddee"),
+        ],
+        ids=["l1-2d", "cube-2d", "l1-3d", "cube-3d"],
+    )
+    def test_maxfn_output_digest(self, tmp_path, geometry, dim, support, digest):
+        out = tmp_path / "out.csv"
+        args = ("maxfn", "--input", write_doc(tmp_path, "f.json", dim, support),
+                "--geometry", geometry, "--box", "3", "--output", str(out))
+        r = subprocess.run(CLI + list(args), capture_output=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "geometry, digest",
+        [
+            ("l1", "68f7e23481b2cd86dfb300126fb82dec50cb436b41f297dcaaf4a789f093591e"),
+            ("cube", "6ae65b7103f68a66b7866c3ae3ea066254a633f4b3559b96bf5d946b4ecdc1a6"),
+        ],
+    )
+    def test_verify_input_digest(self, tmp_path, geometry, digest):
+        args = ("verify", "--input", write_doc(tmp_path, "f.json", 3, self.PAIR_3D),
+                "--geometry", geometry, "--rmax", "8")
+        r = subprocess.run(CLI + list(args), capture_output=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        assert hashlib.sha256(r.stdout).hexdigest() == digest

@@ -1,7 +1,13 @@
+import random
 from fractions import Fraction
+from itertools import product
+from math import prod
 
+import numpy as np
 import pytest
 
+from maxvar import constants, maxop
+from maxvar.gridfn import GridFunction
 from maxvar.lattice import (
     EnumerationCapExceeded,
     ShellTable,
@@ -10,6 +16,7 @@ from maxvar.lattice import (
     box_realization,
     check_gap_monotonicity,
     check_log_concavity,
+    cube_count,
     l1_ball_count,
     l1_ball_points,
 )
@@ -83,6 +90,76 @@ class TestCount:
             l1_ball_count(0, 3)
         with pytest.raises(ValueError):
             l1_ball_count(2, -1)
+
+
+class TestSharedCounts:
+    """`l1_ball_count` and `cube_count` on ints and on int64 and object
+    arrays, against each other and against the specialised forms."""
+
+    DTYPES = [np.int64, object]
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_ball_count_arrays_match_the_int_form(self, d, dtype):
+        k = np.arange(60).reshape(3, 4, 5).astype(dtype)
+        got = l1_ball_count.__wrapped__(d, k)
+        assert got.shape == k.shape and got.dtype == np.dtype(dtype)
+        assert got.ravel().tolist() == [l1_ball_count(d, x) for x in range(60)]
+        # all radii 0: every count is 1, in the radii's shape and type
+        ones = l1_ball_count.__wrapped__(d, k[:1, :1] * 0)
+        assert ones.shape == (1, 1, 5) and ones.dtype == np.dtype(dtype) and (ones == 1).all()
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_int64_is_exact_up_to_the_intermediate_bound(self, d):
+        # the largest radius whose intermediates, below d^2 N(d, k), fit int64
+        lo, hi = 0, 2**62
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if d * d * l1_ball_count(d, mid) < 2**63 else (lo, mid)
+        k = np.array([lo - 1, lo], dtype=np.int64)
+        assert l1_ball_count.__wrapped__(d, k).tolist() == [l1_ball_count(d, lo - 1), l1_ball_count(d, lo)]
+        big = np.array([lo, 10**40], dtype=object)
+        assert l1_ball_count.__wrapped__(d, big).tolist() == [l1_ball_count(d, lo), l1_ball_count(d, 10**40)]
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_specialised_forms_match_the_array_count(self, d):
+        k_max = 200
+        want = l1_ball_count.__wrapped__(d, np.arange(k_max + 1, dtype=object)).tolist()
+        assert list(ShellTable.build(d, k_max).counts) == want
+        poly = constants._count_poly(d)
+        assert [constants._peval(poly, k) for k in range(k_max + 1)] == want
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_cube_count_is_the_product_of_maxima(self, d):
+        grid = list(product(range(1, 7), repeat=d))
+        want = [prod(max(x, max(e) - 1) for x in e) for e in grid]
+        assert [cube_count(list(e)) for e in grid] == want
+        for dtype in self.DTYPES:
+            # one open axis per extent, broadcasting to the whole grid
+            got = cube_count([a.astype(dtype) for a in np.ix_(*[range(1, 7)] * d)])
+            assert got.dtype == np.dtype(dtype) and got.ravel().tolist() == want
+        huge = [10**12 + x for x in range(d)]
+        assert cube_count(huge) == prod(max(x, max(huge) - 1) for x in huge)
+        got = cube_count([np.array([x], dtype=object) for x in huge])
+        assert got.tolist() == [cube_count(huge)]
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_cube_count_is_the_product_of_the_kernel_sides(self, d):
+        rng = random.Random(40 + d)
+        for _ in range(25):
+            points = {tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, 4))}
+            f = GridFunction(d, dict.fromkeys(points, 1))
+            closures = maxop.hull_closures(f.support, tuple(f.integer_masses()[0]))
+            n = tuple(rng.randint(-6, 6) for _ in range(d))
+            extents = [[max(h, c) - min(l, c) + 1 for l, h, c in zip(lo, hi, n)]
+                       for _, lo, hi in closures]
+            sides = [prod(u - l + 1 for l, u in zip(lower, upper))
+                     for _, _, lower, upper in maxop._subset_boxes(closures, n)]
+            counts = [count for _, count, _, _ in maxop._subset_boxes(closures, n)]
+            assert [cube_count(e) for e in extents] == sides == counts
+            for dtype in self.DTYPES:
+                got = cube_count([np.array(axis, dtype=dtype) for axis in zip(*extents)])
+                assert got.tolist() == sides
 
 
 class TestPoints:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from maxvar import constants, maxop, varanalysis
 from maxvar.gridfn import GridFunction
-from maxvar.lattice import l1_shell_count
+from maxvar.lattice import l1_ball_count, l1_shell_count
 from maxvar.maxop import BallSpec, evaluate_on_box, maximal_witness
 from maxvar.oracle import brute_variation
 from maxvar.verify import verify_uncentered_var_bound_1d
@@ -103,6 +103,20 @@ class TestTruncatedVariation:
                 assert truncated_variation_maxfn(f, spec, R) == (
                     _box_reference(f, spec, R)
                 ), (geom, R)
+
+    def test_ball_count_intermediates_bound_the_int64_choice(self):
+        # a unit delta at R = 2^29 reaches k = 2^30 + 2, whose ball count
+        # passes 2^61, so its product with the mass stays under 2^62, but
+        # the count loop's 8k(k - 1) passes 2^63: object arrays are taken
+        delta = GridFunction.delta((0, 0))
+        counts = varanalysis._ball_counts
+        for R, fits in [(2**29 - 2, True), (2**29, False)]:
+            k = 2 * R + 2
+            assert l1_ball_count(2, k) < 2**62
+            assert (8 * k * (k - 1) < 2**63) == fits
+            assert varanalysis._grid_products_fit_int64(delta, True, R) == fits
+            exact = counts(2, np.array([k], dtype=np.int64))[0] == l1_ball_count(2, k)
+            assert exact == fits
 
     def test_matches_brute_edge_sum(self):
         rng = random.Random(33)
