@@ -20,14 +20,25 @@ runs for fixed inputs and seeds.
 Exit codes: 0 success, 1 property violation, 2 bad arguments or parse
 failure, 3 enumeration cap exceeded, 4 geometry/dimension mismatch.  The cap
 (MAXVAR_ENUM_CAP, a positive integer, else exit 2) bounds the points `count
---enumerate` lists and, checked before any work, 2(d+1)(k+1) for `count`,
-which bounds its closed form's min(d, k) steps times their O(d + k)-bit
-integers, the (2R+1)^d points of `maxfn --box`, the --terms summed terms of
-`constant`, `verify` and `scan`, (2d)^3 for `constant --dim d`, which bounds
-the (2d)^2 steps of shifting its certificate's degree-2d polynomials times
-their O(d)-digit coefficients, the 3D digits of the three decimals
-`constant --digits D` prints, and the points the line sweep evaluates for
-`verify` at --rmax and for `scan` at --box.
+--enumerate` lists, and before any work each command checks these costs
+against it.  Here d is --dim, the input's dimension for `maxfn` and `verify`,
+and 2 (1 for the 1-D geometries) for `scan`; bitlen(K) is K's bit length.
+
+  command   flags               cost checked
+  count     --dim, --radius k   2(d+1)(k+1): the closed form's min(d, k) steps
+                                times their O(d + k)-bit integers
+  maxfn     --box R             (2R+1)^d points of the box
+  constant  --terms K, --dim    K d bitlen(K): K exact terms whose
+                                denominators have about d bitlen(K) bits
+  constant  --dim               (2d)^3: the (2d)^2 steps of shifting the
+                                certificate's degree-2d polynomials times
+                                their O(d)-digit coefficients
+  constant  --digits D          3D digits of the three decimals printed
+  verify    --rmax R            the points the line sweep evaluates
+  verify    --terms K           K d bitlen(K), as for `constant`
+  scan      --radius r, --box R the points the line sweep evaluates for the
+                                pair {0, (r, ..., r)}, which bounds every member
+  scan      --terms K           K d bitlen(K), as for `constant`
 """
 
 from __future__ import annotations
@@ -137,35 +148,20 @@ def _emit_json(payload: dict) -> None:
 def cmd_count(args: argparse.Namespace) -> int:
     if args.dim < 1 or args.radius < 0:
         raise CliError("need --dim >= 1 and --radius >= 0", EXIT_USAGE)
-    cap = _enum_cap()
-    # the closed form takes min(d, k) steps on integers of O(d + k) bits,
-    # at most 2dk of both together, which 2(d+1)(k+1) bounds
-    work = 2 * (args.dim + 1) * (args.radius + 1)
-    if work > cap:
-        raise CliError(
-            f"counting to radius {args.radius} costs up to {work} steps times bits, cap is {cap}",
-            EXIT_CAP,
-        )
+    _check_cap(2 * (args.dim + 1) * (args.radius + 1),
+               f"steps times bits of the count at --dim {args.dim} --radius {args.radius}")
     print(lattice.l1_ball_count(args.dim, args.radius))
     if args.enumerate:
-        for p in lattice.l1_ball_points(args.dim, args.radius, cap=cap):
+        for p in lattice.l1_ball_points(args.dim, args.radius, cap=_enum_cap()):
             print(" ".join(str(c) for c in p))
     return EXIT_OK
 
 
-def _check_sweep(f: GridFunction, R: int) -> None:
+def _check_cap(cost: int, what: str) -> None:
+    """Exit 3, before any work, when `what` costs more than the cap."""
     cap = _enum_cap()
-    points = varanalysis.sweep_points(f, R)
-    if points > cap:
-        raise CliError(
-            f"the line sweep at radius {R} evaluates {points} points, cap is {cap}", EXIT_CAP
-        )
-
-
-def _check_terms(terms: int) -> None:
-    cap = _enum_cap()
-    if terms > cap:
-        raise CliError(f"--terms {terms} exceeds the cap {cap} on summed terms", EXIT_CAP)
+    if cost > cap:
+        raise CliError(f"{what}: {cost} > cap {cap}", EXIT_CAP)
 
 
 def _enum_cap() -> int:
@@ -191,10 +187,7 @@ def cmd_maxfn(args: argparse.Namespace) -> int:
     R = args.box
     if R < 0:
         raise CliError("--box must be >= 0", EXIT_USAGE)
-    cap = _enum_cap()
-    points = (2 * R + 1) ** f.dim
-    if points > cap:
-        raise CliError(f"box [-{R}, {R}]^{f.dim} holds {points} points, cap is {cap}", EXIT_CAP)
+    _check_cap((2 * R + 1) ** f.dim, f"points of the box at --box {R}, dim {f.dim}")
     box = ((-R,) * f.dim, (R,) * f.dim)
     values = maxop.evaluate_on_box(f, spec, box)
     try:
@@ -229,18 +222,12 @@ def cmd_constant(args: argparse.Namespace) -> int:
         raise CliError("--dim must be >= 1", EXIT_USAGE)
     if args.digits < 0:
         raise CliError("--digits must be >= 0", EXIT_USAGE)
-    _check_terms(args.terms)
-    cap = _enum_cap()
-    if (2 * d) ** 3 > cap:
-        raise CliError(
-            f"--dim {d} costs up to {(2 * d) ** 3} steps times digits, cap is {cap}", EXIT_CAP
-        )
-    if 3 * args.digits > cap:
-        raise CliError(
-            f"--digits {args.digits} prints {3 * args.digits} digits, cap is {cap}", EXIT_CAP
-        )
+    K = args.terms
+    _check_cap(K * d * K.bit_length(), f"bits of the partial sum at --terms {K} --dim {d}")
+    _check_cap((2 * d) ** 3, f"steps times digits of the certificate at --dim {d}")
+    _check_cap(3 * args.digits, f"digits printed at --digits {args.digits}")
     try:
-        enc = constants.constant_enclosure(d, args.terms, kind)
+        enc = constants.constant_enclosure(d, K, kind)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
     print(f"[{format_rational(enc.lower)}, {format_rational(enc.upper)}]")
@@ -269,12 +256,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         epsilon = parse_rational(args.epsilon)
         # verify_inequality measures the recentered copy, so that is what is swept
-        _check_sweep(verify.recenter(f), args.rmax)
+        _check_cap(varanalysis.sweep_points(verify.recenter(f), args.rmax),
+                   f"points of the line sweep at --rmax {args.rmax}")
         if epsilon <= 0:  # a usage error outranks the terms cap
             raise ValueError("epsilon must be positive")
-        _check_terms(args.terms)
+        K = args.terms
+        _check_cap(K * f.dim * K.bit_length(), f"bits of the partial sum at --terms {K}, dim {f.dim}")
         record, report = verify.verify_inequality(
-            f, spec, epsilon, r_max=args.rmax, terms=args.terms
+            f, spec, epsilon, r_max=args.rmax, terms=K
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
@@ -408,14 +397,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise CliError(f"unknown family {args.family!r}", EXIT_USAGE)
     dim = 1 if args.geometry.endswith("1d") else 2
     spec = BallSpec(args.geometry, dim)
+    K = args.terms
     if args.box >= args.radius >= 0:  # else scan_extremizers names the bad argument
         # every member's support lies in [0, radius]^dim, so the pair of its
         # corners has the widest sweep
-        _check_sweep(GridFunction(dim, {(0,) * dim: 1, (args.radius,) * dim: 1}), args.box)
-        _check_terms(args.terms)
+        pair = GridFunction(dim, {(0,) * dim: 1, (args.radius,) * dim: 1})
+        _check_cap(varanalysis.sweep_points(pair, args.box),
+                   f"points of the line sweep at --radius {args.radius} --box {args.box}")
+        _check_cap(K * dim * K.bit_length(), f"bits of the partial sum at --terms {K}, dim {dim}")
     try:
         records = verify.scan_extremizers(
-            spec, max_distance=args.radius, R=args.box, terms=args.terms
+            spec, max_distance=args.radius, R=args.box, terms=K
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)

@@ -120,16 +120,21 @@ class TestMaxfn:
         r = run_cli("maxfn", "--input", doc, "--geometry", "centered1d", "--box", "1", "--output", str(tmp_path / "o.csv"))
         assert r.returncode == 4
 
-    def test_box_over_enum_cap_exit_3(self, tmp_path):
+    @pytest.mark.parametrize("box, code", [("50", 3), ("49", 0)])
+    def test_box_checked_against_enum_cap(self, tmp_path, box, code):
+        # 101^2 = 10,201 points at --box 50, 99^2 = 9,801 at --box 49
         doc = write_doc(tmp_path, "f.json", 2, [{"point": [0, 0], "value": "1"}])
         out = tmp_path / "o.csv"
         r = run_cli(
-            "maxfn", "--input", doc, "--geometry", "l1", "--box", "50", "--output", str(out),
+            "maxfn", "--input", doc, "--geometry", "l1", "--box", box, "--output", str(out),
             env_extra={"MAXVAR_ENUM_CAP": "10000"},
         )
-        assert r.returncode == 3
-        assert "cap" in r.stderr and "Traceback" not in r.stderr
-        assert not out.exists()
+        assert r.returncode == code
+        if code:
+            assert "cap" in r.stderr and "Traceback" not in r.stderr
+            assert not out.exists()
+        else:
+            assert len(out.read_text().splitlines()) == 1 + 9801
 
     def test_duplicate_point_rejected(self, tmp_path):
         doc = write_doc(
@@ -218,7 +223,8 @@ class TestConstant:
         lower = r.stdout.splitlines()[1].split("[")[1].split(",")[0]
         assert len(lower.split(".")[1]) == 5000
 
-    @pytest.mark.parametrize("terms, code", [("101", 3), ("100", 0)])
+    # the cost is K d bitlen(K): 13 * 2 * 4 = 104, then 12 * 2 * 4 = 96
+    @pytest.mark.parametrize("terms, code", [("13", 3), ("12", 0)])
     def test_terms_checked_against_enum_cap(self, terms, code):
         r = run_cli(
             "constant", "--kind", "centered", "--dim", "2", "--terms", terms,
@@ -343,7 +349,7 @@ class TestVerify:
             tmp_path, "f.json", 2,
             [{"point": [0, 0], "value": "1"}, {"point": [1, 0], "value": "1/2"}],
         )
-        r = run_cli("verify", "--input", doc, "--geometry", "l1", "--rmax", "8", "--terms", "100",
+        r = run_cli("verify", "--input", doc, "--geometry", "l1", "--rmax", "8", "--terms", "10",
                     env_extra={"MAXVAR_ENUM_CAP": cap})
         assert r.returncode == code
         if code:
@@ -404,7 +410,7 @@ class TestScan:
     def test_sweep_at_box_checked_against_enum_cap(self, box, code):
         # the widest member {(0, 0), (1, 1)} has 4 stops on each of 2 (2R + 1)
         # lines: 328 points at R = 20, 312 at R = 19
-        r = run_cli("scan", "--geometry", "cube", "--radius", "1", "--box", box, "--terms", "100",
+        r = run_cli("scan", "--geometry", "cube", "--radius", "1", "--box", box, "--terms", "10",
                     env_extra={"MAXVAR_ENUM_CAP": "320"})
         assert r.returncode == code
         if code:
@@ -424,8 +430,9 @@ class TestScan:
 
 
 class TestTermsCap:
-    """`verify` and `scan` refuse --terms above MAXVAR_ENUM_CAP before summing,
-    as `constant` does; a usage error still exits 2 first."""
+    """`verify` and `scan` refuse --terms K whose cost K d bitlen(K) is above
+    MAXVAR_ENUM_CAP before summing, as `constant` does; a usage error still
+    exits 2 first."""
 
     @pytest.fixture
     def delta(self, tmp_path):
@@ -437,7 +444,8 @@ class TestTermsCap:
             ("scan", "--geometry", "cube", "--radius", "0", "--box", "1", "--terms", terms),
         ]
 
-    @pytest.mark.parametrize("terms, code", [("1000", 3), ("500", 0)])
+    # at dim 2: 42 * 2 * 6 = 504, then 41 * 2 * 6 = 492
+    @pytest.mark.parametrize("terms, code", [("42", 3), ("41", 0)])
     def test_terms_checked_against_enum_cap(self, delta, terms, code):
         for args in self._commands(delta, terms):
             r = run_cli(*args, env_extra={"MAXVAR_ENUM_CAP": "500"})
@@ -481,6 +489,39 @@ class TestCapValue:
         assert r.returncode == 0
         r = run_cli("count", "--dim", "2", "--radius", "1", env_extra={"MAXVAR_ENUM_CAP": "1"})
         assert r.returncode == 3
+
+
+class TestCapRefusals:
+    """Every cost checked before any work refuses the same way, and names
+    the flags that set it."""
+
+    PAIR = [{"point": [0, 0], "value": "1"}, {"point": [1, 0], "value": "1/2"}]
+
+    @pytest.mark.parametrize("cap, args, flags", [
+        ("100", ("count", "--dim", "2", "--radius", "16"), ("--dim", "--radius")),
+        ("10000", ("maxfn", "--input", "{doc}", "--geometry", "l1", "--box", "50",
+                   "--output", "{out}"), ("--box",)),
+        ("100", ("constant", "--kind", "centered", "--dim", "2", "--terms", "13"),
+         ("--terms", "--dim")),
+        ("1000", ("constant", "--kind", "centered", "--dim", "6", "--terms", "10"), ("--dim",)),
+        ("1000", ("constant", "--kind", "centered", "--dim", "2", "--terms", "10",
+                  "--digits", "334"), ("--digits",)),
+        ("118", ("verify", "--input", "{doc}", "--geometry", "l1", "--rmax", "8", "--terms", "10"),
+         ("--rmax",)),
+        ("500", ("verify", "--input", "{doc}", "--geometry", "l1", "--rmax", "2", "--terms", "42"),
+         ("--terms",)),
+        ("320", ("scan", "--geometry", "cube", "--radius", "1", "--box", "20", "--terms", "10"),
+         ("--radius", "--box")),
+        ("500", ("scan", "--geometry", "cube", "--radius", "0", "--box", "1", "--terms", "42"),
+         ("--terms",)),
+    ], ids=["count", "maxfn-box", "constant-terms", "constant-dim", "constant-digits",
+            "verify-rmax", "verify-terms", "scan-box", "scan-terms"])
+    def test_refusal_names_its_flags(self, tmp_path, cap, args, flags):
+        paths = {"doc": write_doc(tmp_path, "f.json", 2, self.PAIR), "out": str(tmp_path / "o.csv")}
+        r = run_cli(*(a.format(**paths) for a in args), env_extra={"MAXVAR_ENUM_CAP": cap})
+        assert r.returncode == 3 and r.stdout == ""
+        assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+        assert all(flag in r.stderr for flag in flags), r.stderr
 
 
 class TestFormatRational:
