@@ -37,12 +37,9 @@ from .maxop import (
     uncentered_max_cube,
 )
 from .varanalysis import (
-    LatticeLine,
     VariationReport,
     adaptive_variation,
     delta_variation_closed_form,
-    line_contribution_cap_cube,
-    line_contribution_cap_l1,
     truncated_variation_maxfn,
 )
 from .verify import (

@@ -23,22 +23,24 @@ failure, 3 enumeration cap exceeded, 4 geometry/dimension mismatch.  The cap
 --enumerate` lists, and before any work each command checks these costs
 against it.  Here d is --dim, the input's dimension for `maxfn` and `verify`,
 and 2 (1 for the 1-D geometries) for `scan`; bitlen(K) is K's bit length.
+At d = 1 every sharp bound is exactly 2 and no term is summed, so --terms
+costs 0 there.
 
   command   flags               cost checked
   count     --dim, --radius k   2(d+1)(k+1): the closed form's min(d, k) steps
                                 times their O(d + k)-bit integers
   maxfn     --box R             (2R+1)^d points of the box
-  constant  --terms K, --dim    K d bitlen(K): K exact terms whose
+  constant  --terms K, --dim    K d bitlen(K), 0 at d = 1: K exact terms whose
                                 denominators have about d bitlen(K) bits
   constant  --dim               (2d)^3: the (2d)^2 steps of shifting the
                                 certificate's degree-2d polynomials times
                                 their O(d)-digit coefficients
   constant  --digits D          3D digits of the three decimals printed
   verify    --rmax R            the points the line sweep evaluates
-  verify    --terms K           K d bitlen(K), as for `constant`
+  verify    --terms K           K d bitlen(K), 0 at d = 1, as for `constant`
   scan      --radius r, --box R the points the line sweep evaluates for the
                                 pair {0, (r, ..., r)}, which bounds every member
-  scan      --terms K           K d bitlen(K), as for `constant`
+  scan      --terms K           K d bitlen(K), 0 at d = 1, as for `constant`
 """
 
 from __future__ import annotations
@@ -223,7 +225,8 @@ def cmd_constant(args: argparse.Namespace) -> int:
     if args.digits < 0:
         raise CliError("--digits must be >= 0", EXIT_USAGE)
     K = args.terms
-    _check_cap(K * d * K.bit_length(), f"bits of the partial sum at --terms {K} --dim {d}")
+    if d > 1:  # every 1-D bound is exactly 2 and sums nothing
+        _check_cap(K * d * K.bit_length(), f"bits of the partial sum at --terms {K} --dim {d}")
     _check_cap((2 * d) ** 3, f"steps times digits of the certificate at --dim {d}")
     _check_cap(3 * args.digits, f"digits printed at --digits {args.digits}")
     try:
@@ -261,7 +264,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if epsilon <= 0:  # a usage error outranks the terms cap
             raise ValueError("epsilon must be positive")
         K = args.terms
-        _check_cap(K * f.dim * K.bit_length(), f"bits of the partial sum at --terms {K}, dim {f.dim}")
+        if f.dim > 1:
+            _check_cap(K * f.dim * K.bit_length(),
+                       f"bits of the partial sum at --terms {K}, dim {f.dim}")
         record, report = verify.verify_inequality(
             f, spec, epsilon, r_max=args.rmax, terms=K
         )
@@ -404,7 +409,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         pair = GridFunction(dim, {(0,) * dim: 1, (args.radius,) * dim: 1})
         _check_cap(varanalysis.sweep_points(pair, args.box),
                    f"points of the line sweep at --radius {args.radius} --box {args.box}")
-        _check_cap(K * dim * K.bit_length(), f"bits of the partial sum at --terms {K}, dim {dim}")
+        if dim > 1:
+            _check_cap(K * dim * K.bit_length(), f"bits of the partial sum at --terms {K}, dim {dim}")
     try:
         records = verify.scan_extremizers(
             spec, max_distance=args.radius, R=args.box, terms=K

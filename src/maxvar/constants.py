@@ -109,8 +109,11 @@ def uncentered_constant_partial(d: int, K: int) -> Fraction:
 
 
 def _partial_sum(d: int, K: int, kind: str) -> Fraction:
-    """2d + sum_{k=1}^{K} num(k) / den(k), from the integer term polynomials."""
+    """2d + sum_{k=1}^{K} num(k) / den(k), from the integer term polynomials;
+    2d at once where num is the zero polynomial (uncentered at d = 1)."""
     num, den = _term_polynomials(d, kind)
+    if not num:
+        return Fraction(2 * d)
     return 2 * d + tree_sum(zip(_pvalues(num, K), _pvalues(den, K)))
 
 

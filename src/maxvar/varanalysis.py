@@ -10,11 +10,13 @@ forms give two-sided control: `delta_variation_closed_form` evaluates the
 truncated variation exactly and converges to the sharp constants.
 
 Line caps.  Along an axis-parallel line the maximal function of a unit mass
-at p peaks at the line's point nearest to p (`LatticeLine.nearest`) and
-decreases towards 0 both ways, so the line's full variation, its cap, is
-twice the `maxop` closed form there.  Summed per distance from p, the caps
-are the sharp constants' series terms (`delta_line_cap_totals`): the
-paper's line decomposition.
+at p peaks at the line's point nearest to p (p's coordinate on the line's
+axis, the line's own coordinates on the others) and decreases towards 0
+both ways.  So a line's cap, its full variation, is twice `maxop`'s closed
+form (`delta_centered_l1_closed_form`, `delta_uncentered_cube_closed_form`)
+at that point.  Summed per distance from p, the caps are the sharp
+constants' series terms (`delta_line_cap_totals`): the paper's line
+decomposition.
 
 Monotone-tail lemma.  Fix an axis i and a line {base + t e_i}, and let
 [lo, hi] be the projection of the support onto axis i.  Then
@@ -91,7 +93,6 @@ import numpy as np
 from . import constants, lattice, maxop
 from .exact import tree_sum
 from .gridfn import GridFunction
-from .lattice import Box, LatticePoint
 from .maxop import BallSpec
 
 #: cells per array of a chunk, summed over the candidate axis (s^2 distance
@@ -322,17 +323,12 @@ class VariationReport:
     """
 
     operator: BallSpec
-    truncation_box: Box
+    truncation_radius: int
     truncated_var: Fraction
     convergence_trace: tuple[tuple[int, Fraction], ...]
     theoretical_cap: Fraction
     cap_satisfied: bool
     stop_reason: str  # "converged" or "rmax"
-    lower_bound_only: bool = True
-
-    @property
-    def truncation_radius(self) -> int:
-        return self.truncation_box[1][0]
 
 
 def adaptive_variation(
@@ -369,43 +365,7 @@ def adaptive_variation(
             break
         prev = var
         r = min(2 * r, r_max)
-    box = ((-r,) * f.dim, (r,) * f.dim)
-    return VariationReport(
-        spec, box, var, tuple(trace), cap, var <= cap, stop
-    )
-
-
-# ---------------------------------------------------------------------------
-# Per-line contribution caps
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LatticeLine:
-    """Axis-parallel lattice line: {through + t * e_axis : t in Z}."""
-
-    axis: int
-    through: LatticePoint
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.axis < len(self.through):
-            raise ValueError("axis out of range")
-
-    def nearest(self, p: LatticePoint) -> LatticePoint:
-        """The line's point nearest to p: `through` with p's `axis` coordinate."""
-        return tuple(p[i] if i == self.axis else c for i, c in enumerate(self.through))
-
-
-def line_contribution_cap_l1(p: LatticePoint, line: LatticeLine) -> Fraction:
-    """Largest possible share of one unit of mass at p in the variation of the
-    cross-polytope maximal function along `line`: twice its value at the
-    line's point nearest to p, 2 / N(d, dist_l1(line, p))."""
-    return 2 * maxop.delta_centered_l1_closed_form(p, line.nearest(p))
-
-
-def line_contribution_cap_cube(p: LatticePoint, line: LatticeLine) -> Fraction:
-    """Cube analogue: twice the unit mass's value at the line's point n
-    nearest to p, 2 / prod_i max(|n_i - p_i| + 1, k) with k = |n - p|_inf."""
-    return 2 * maxop.delta_uncentered_cube_closed_form(p, line.nearest(p))
+    return VariationReport(spec, r, var, tuple(trace), cap, var <= cap, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +406,10 @@ def delta_line_cap_totals(
     is the k-th series term of the matching constant.
     """
     if geometry == "l1":
-        cap, norm = line_contribution_cap_l1, sum
+        value, norm = maxop.delta_centered_l1_closed_form, sum
         bases = lattice.l1_ball_points(d - 1, k_max) if d > 1 else [()]
     elif geometry == "cube":
-        cap, norm = line_contribution_cap_cube, max
+        value, norm = maxop.delta_uncentered_cube_closed_form, max
         bases = product(range(-k_max, k_max + 1), repeat=d - 1)
     else:
         raise ValueError("geometry must be 'l1' or 'cube'")
@@ -458,5 +418,6 @@ def delta_line_cap_totals(
     for base in bases:
         k = norm((0, *map(abs, base)))  # the 0 is the distance at d = 1, whose base is ()
         cnt, tot = totals.get(k, (0, Fraction(0)))
-        totals[k] = (cnt + d, tot + d * cap(origin, LatticeLine(d - 1, base + (0,))))
+        # the line {base + t e_d} is nearest the origin at t = 0
+        totals[k] = (cnt + d, tot + d * 2 * value(origin, base + (0,)))
     return totals

@@ -432,7 +432,7 @@ class TestScan:
 class TestTermsCap:
     """`verify` and `scan` refuse --terms K whose cost K d bitlen(K) is above
     MAXVAR_ENUM_CAP before summing, as `constant` does; a usage error still
-    exits 2 first."""
+    exits 2 first.  At d = 1 every bound is exactly 2 and --terms costs 0."""
 
     @pytest.fixture
     def delta(self, tmp_path):
@@ -453,6 +453,20 @@ class TestTermsCap:
             if code:
                 assert r.stdout == ""
                 assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+
+    # the cost at d = 1 would be 10^6 * 1 * 20 = 2 * 10^7, past the default cap
+    @pytest.mark.parametrize("args", [
+        ("verify", "--input", "{doc}", "--geometry", "centered1d"),
+        ("verify", "--input", "{doc}", "--geometry", "uncentered1d"),
+        ("scan", "--geometry", "centered1d", "--radius", "1", "--box", "2"),
+        ("constant", "--kind", "uncentered", "--dim", "1"),
+    ], ids=["verify-centered1d", "verify-uncentered1d", "scan-centered1d", "constant-uncentered"])
+    def test_1d_terms_cost_nothing(self, tmp_path, args):
+        doc = write_doc(tmp_path, "delta1.json", 1, [{"point": [0], "value": "1"}])
+        args = tuple(a.format(doc=doc) for a in args)
+        many, few = (run_cli(*args, "--terms", terms) for terms in ("1000000", "1000"))
+        assert many.returncode == few.returncode == 0, many.stderr
+        assert many.stdout == few.stdout
 
     def test_usage_errors_outrank_the_terms_cap(self, delta):
         verify_args, _ = self._commands(delta, "1000")

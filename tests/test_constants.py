@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maxvar import constants
 from maxvar.constants import (
     ONE_DIM_CENTERED_SHARP,
     TailMajorant,
@@ -48,6 +49,12 @@ class TestPartialSums:
     def test_uncentered_d1_is_two(self):
         for K in (0, 1, 10, 100):
             assert uncentered_constant_partial(1, K) == 2
+
+    def test_uncentered_d1_sums_no_term(self, monkeypatch):
+        # its term numerator is the zero polynomial, so no K costs anything
+        monkeypatch.setattr(constants, "tree_sum", None)
+        partial = uncentered_constant_partial(1, 10**12)
+        assert partial == 2 and isinstance(partial, Fraction)
 
     def test_uncentered_d2_telescopes(self):
         for K in (1, 7, 10, 1000):

@@ -16,12 +16,9 @@ from maxvar.maxop import BallSpec, evaluate_on_box, maximal_witness
 from maxvar.oracle import brute_variation
 from maxvar.verify import verify_uncentered_var_bound_1d
 from maxvar.varanalysis import (
-    LatticeLine,
     adaptive_variation,
     delta_line_cap_totals,
     delta_variation_closed_form,
-    line_contribution_cap_cube,
-    line_contribution_cap_l1,
     truncated_variation_maxfn,
 )
 
@@ -895,27 +892,32 @@ class TestAdaptiveVariation:
             adaptive_variation(GridFunction.delta(0), BallSpec("centered1d", 1), 0)
 
 
+def _nearest(p, axis, through):
+    """The point of the line {through + t e_axis} nearest to p."""
+    return through[:axis] + p[axis : axis + 1] + through[axis + 1 :]
+
+
+_CLOSED_FORMS = {
+    "l1": maxop.delta_centered_l1_closed_form,
+    "cube": maxop.delta_uncentered_cube_closed_form,
+}
+
+
 class TestLineCaps:
-    def test_l1_on_line(self):
-        assert line_contribution_cap_l1((3, 4), LatticeLine(0, (0, 4))) == 2
+    """A line's cap is twice the unit mass's closed form at the line's point
+    nearest to the mass."""
 
-    def test_l1_distance_one(self):
-        assert line_contribution_cap_l1((0, 0), LatticeLine(0, (7, 1))) == Q(2, 5)
-
-    def test_l1_d3_distance_two(self):
-        assert line_contribution_cap_l1(
-            (0, 0, 0), LatticeLine(2, (1, 1, 9))
-        ) == Q(2, 25)
-
-    def test_cube_on_line(self):
-        assert line_contribution_cap_cube((5, 5), LatticeLine(1, (5, 0))) == 2
-
-    def test_cube_d2_k1(self):
-        assert line_contribution_cap_cube((0, 0), LatticeLine(1, (1, 3))) == 1
-
-    def test_cube_d3_k2_j1(self):
-        cap = line_contribution_cap_cube((0, 0, 0), LatticeLine(2, (2, 1, 0)))
-        assert cap == Q(2, 3 * 4) == Q(1, 6)
+    @pytest.mark.parametrize("geometry, p, axis, through, cap", [
+        ("l1", (3, 4), 0, (0, 4), 2),
+        ("l1", (0, 0), 0, (7, 1), Q(2, 5)),
+        ("l1", (0, 0, 0), 2, (1, 1, 9), Q(2, 25)),
+        ("cube", (5, 5), 1, (5, 0), 2),
+        ("cube", (0, 0), 1, (1, 3), 1),
+        ("cube", (0, 0, 0), 2, (2, 1, 0), Q(2, 3 * 4)),
+    ], ids=["l1-on-line", "l1-distance-one", "l1-d3-distance-two", "cube-on-line",
+            "cube-d2-k1", "cube-d3-k2-j1"])
+    def test_cap_values(self, geometry, p, axis, through, cap):
+        assert 2 * _CLOSED_FORMS[geometry](p, _nearest(p, axis, through)) == cap
 
     @pytest.mark.parametrize("geometry", ["l1", "cube"])
     @pytest.mark.parametrize("d, axis", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
@@ -927,17 +929,16 @@ class TestLineCaps:
         p = (1, -2, 0)[:d]
         f = GridFunction.delta(p)
         spec = BallSpec(geometry, d)
-        cap_fn = line_contribution_cap_l1 if geometry == "l1" else line_contribution_cap_cube
         W = 12
         for offset in product(range(-3, 4), repeat=d - 1):
             rest = [c + o for c, o in zip(p[:axis] + p[axis + 1 :], offset)]
-            line = LatticeLine(axis, tuple(rest[:axis] + [7] + rest[axis:]))
+            through = tuple(rest[:axis] + [7] + rest[axis:])
             seq = [
                 maximal_witness(f, spec, tuple(rest[:axis] + [t] + rest[axis:])).value
                 for t in range(p[axis] - W, p[axis] + W + 1)
             ]
             measured = sum(abs(b - a) for a, b in zip(seq, seq[1:]))
-            cap = cap_fn(p, line)
+            cap = 2 * _CLOSED_FORMS[geometry](p, _nearest(p, axis, through))
             assert measured <= cap
             assert measured + 2 * seq[0] == cap
 
@@ -1069,6 +1070,11 @@ class TestLineCapTotals:
             count, total = totals[k]
             assert count == d * ((2 * k + 1) ** (d - 1) - (2 * k - 1) ** (d - 1))
             assert total == constants.uncentered_term(d, k)
+
+    @pytest.mark.parametrize("geometry", ["centered1d", "uncentered1d", "ball"])
+    def test_refuses_other_geometries(self, geometry):
+        with pytest.raises(ValueError, match="geometry must be 'l1' or 'cube'"):
+            delta_line_cap_totals(geometry, 1, 3)
 
     def test_cumulative_totals_are_partial_sums(self):
         for K in (1, 5, 20):
