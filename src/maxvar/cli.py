@@ -24,7 +24,7 @@ failure, 3 enumeration cap exceeded, 4 geometry/dimension mismatch.  The cap
 against it.  Here d is --dim, the input's dimension for `maxfn` and `verify`,
 and 2 (1 for the 1-D geometries) for `scan`; bitlen(K) is K's bit length.
 At d = 1 every sharp bound is exactly 2 and no term is summed, so --terms
-costs 0 there.
+costs 0 there; a negative K still exits 2.
 
   command   flags               cost checked
   count     --dim, --radius k   2(d+1)(k+1): the closed form's min(d, k) steps
@@ -166,6 +166,13 @@ def _check_cap(cost: int, what: str) -> None:
         raise CliError(f"{what}: {cost} > cap {cap}", EXIT_CAP)
 
 
+def _check_terms(K: int, d: int, dim_text: str) -> None:
+    """--terms K sums K terms of about d bitlen(K) bits; at d = 1 every sharp
+    bound is exactly 2 and sums nothing."""
+    if d > 1:
+        _check_cap(K * d * K.bit_length(), f"bits of the partial sum at --terms {K}{dim_text}")
+
+
 def _enum_cap() -> int:
     raw = os.environ.get("MAXVAR_ENUM_CAP")
     if raw is None:
@@ -199,8 +206,7 @@ def cmd_maxfn(args: argparse.Namespace) -> int:
     with out:
         writer = csv.writer(out)
         writer.writerow([f"n{i+1}" for i in range(f.dim)] + ["value", "decimal"])
-        for point in sorted(values):
-            v = values[point]
+        for point, v in values.items():
             writer.writerow(
                 [str(c) for c in point] + [format_rational(v), decimal_str(v)]
             )
@@ -225,8 +231,7 @@ def cmd_constant(args: argparse.Namespace) -> int:
     if args.digits < 0:
         raise CliError("--digits must be >= 0", EXIT_USAGE)
     K = args.terms
-    if d > 1:  # every 1-D bound is exactly 2 and sums nothing
-        _check_cap(K * d * K.bit_length(), f"bits of the partial sum at --terms {K} --dim {d}")
+    _check_terms(K, d, f" --dim {d}")
     _check_cap((2 * d) ** 3, f"steps times digits of the certificate at --dim {d}")
     _check_cap(3 * args.digits, f"digits printed at --digits {args.digits}")
     try:
@@ -264,9 +269,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if epsilon <= 0:  # a usage error outranks the terms cap
             raise ValueError("epsilon must be positive")
         K = args.terms
-        if f.dim > 1:
-            _check_cap(K * f.dim * K.bit_length(),
-                       f"bits of the partial sum at --terms {K}, dim {f.dim}")
+        _check_terms(K, f.dim, f", dim {f.dim}")
         record, report = verify.verify_inequality(
             f, spec, epsilon, r_max=args.rmax, terms=K
         )
@@ -409,8 +412,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         pair = GridFunction(dim, {(0,) * dim: 1, (args.radius,) * dim: 1})
         _check_cap(varanalysis.sweep_points(pair, args.box),
                    f"points of the line sweep at --radius {args.radius} --box {args.box}")
-        if dim > 1:
-            _check_cap(K * dim * K.bit_length(), f"bits of the partial sum at --terms {K}, dim {dim}")
+        _check_terms(K, dim, f", dim {dim}")
     try:
         records = verify.scan_extremizers(
             spec, max_distance=args.radius, R=args.box, terms=K

@@ -11,11 +11,10 @@ Two one-parameter families of constants are handled:
       Ct(d) = 2d * (1 + sum_{k>=1} (1/k) * ((2/(k+1) + (2k-1)/k)^(d-1)
                                             - ((2k-1)/k)^(d-1)))
 
-  (all terms vanish at d = 1, so Ct(1) = 2 exactly).
-
-The sharp 1-D bound for the centered interval operator is the standalone
-constant 2 (`ONE_DIM_CENTERED_SHARP`); it is not the d = 1 case of C(d),
-which is undefined.
+Both sharp 1-D constants are exactly 2.  Uncentered, the d = 1 numerator
+polynomial is zero: nothing is summed and the majorant certifies c = 0.
+Centered, C(1) is undefined; the interval operator's constant is
+`ONE_DIM_CENTERED_SHARP`, the one d = 1 branch, in `bound_for_geometry`.
 
 For each (d, kind) the term t_k is a fixed rational function of k,
 num(k) / den(k) with integer-coefficient polynomials (`_term_polynomials`).
@@ -32,15 +31,15 @@ Enclosures add a certified tail bound: we certify a majorant
 
     t_k <= c / (k (k+1))        for all k >= k0,
 
-by checking that the integer polynomial c * den(k) - k (k+1) * num(k) has
-nonnegative coefficients after substituting k -> k0 + t (nonnegative
-coefficients in t give nonnegativity for every real t >= 0, hence every
-integer k >= k0).  The tail beyond K >= k0 - 1 then telescopes to at most
-c / (K+1).  The centered numerator/denominator polynomials expand the
-binomial sum N(d, k) = sum_i 2^i C(d, i) C(k, i) of `lattice.l1_ball_count`
-with C(k, i) = k (k - 1) ... (k - i + 1) / i!, which holds at every k >= 0
-(C(k, i) vanishes for i > k); it is checked against `l1_ball_count` at
-k = 0..d + 40.
+by one shift-and-sign test, `_nonnegative_from(poly, k0)`: the coefficients
+of poly(k0 + t) in t are nonnegative, so poly >= 0 at every k >= k0.  It is
+applied to c * den(k) - k (k+1) * num(k), den and num, so the division is
+sound and the terms are nonnegative.  The tail beyond K >= k0 - 1 then
+telescopes to at most c / (K+1).  The centered numerator/denominator
+polynomials expand the binomial sum N(d, k) = sum_i 2^i C(d, i) C(k, i) of
+`lattice.l1_ball_count` with C(k, i) = k (k - 1) ... (k - i + 1) / i!, which
+holds at every k >= 0 (C(k, i) vanishes for i > k); it is checked against
+`l1_ball_count` at k = 0..d + 40.
 """
 
 from __future__ import annotations
@@ -80,8 +79,6 @@ def uncentered_term(d: int, k: int) -> Fraction:
         raise ValueError("d must be >= 1")
     if k < 1:
         raise ValueError("terms are indexed from k = 1")
-    if d == 1:
-        return Fraction(0)
     a = Fraction(2, k + 1)
     b = Fraction(2 * k - 1, k)
     return Fraction(2 * d, k) * ((a + b) ** (d - 1) - b ** (d - 1))
@@ -184,6 +181,12 @@ def _pshift(a: Poly, h: int) -> Poly:
     return out
 
 
+def _nonnegative_from(poly: Poly, k0: int) -> bool:
+    """True when poly(k0 + t) has no negative coefficient in t, which makes
+    poly nonnegative at every real k >= k0."""
+    return all(coef >= 0 for coef in _pshift(poly, k0))
+
+
 def _ptrim(a: Poly) -> Poly:
     n = len(a)
     while n > 0 and a[n - 1] == 0:
@@ -266,19 +269,14 @@ class TailMajorant:
 def tail_majorant(d: int, kind: str) -> TailMajorant:
     """Search for and certify a termwise majorant c / (k (k+1)).
 
-    The certificate is exact: nonnegativity of every coefficient of
-    (c * den - k(k+1) * num)(k0 + t) in t.  Positivity of den and num on
-    [k0, inf) is certified the same way, so the division is sound and the
+    The certificate is exact: `_nonnegative_from(poly, k0)` for poly =
+    c * den - k(k+1) * num, den and num, so the division is sound and the
     terms are nonnegative (making the partial sums genuine lower bounds).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if kind == "centered" and d < 2:
         raise ValueError("centered constants are defined for d >= 2")
-    if kind == "uncentered" and d == 1:
-        return TailMajorant(
-            1, "uncentered", Fraction(0), 0, "all series terms vanish for d = 1"
-        )
     num, den = _term_polynomials(d, kind)
     kk1 = _pmul(num, (0, 1, 1))  # k(k+1) * num
     scan = max(
@@ -291,12 +289,9 @@ def tail_majorant(d: int, kind: str) -> TailMajorant:
         raise AssertionError("term does not decay like 1/k^2")
     c = scan
     for _ in range(8):
+        rem = _padd(_pscale(den, c), _pneg(kk1))
         for k0 in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64):
-            rem = _padd(_pscale(den, c), _pneg(kk1))
-            ok = all(coef >= 0 for coef in _pshift(rem, k0))
-            ok = ok and all(coef >= 0 for coef in _pshift(den, k0))
-            ok = ok and all(coef >= 0 for coef in _pshift(num, k0))
-            if ok:
+            if all(_nonnegative_from(p, k0) for p in (rem, den, num)):
                 statement = (
                     f"term_k <= {c}/(k(k+1)) for all k >= {k0}: the polynomial "
                     f"{c}*den(k) - k(k+1)*num(k) has nonnegative coefficients "
@@ -339,34 +334,32 @@ def constant_enclosure(d: int, K: int, kind: str) -> ConstantEnclosure:
     """Certified enclosure from K exact terms plus the tail majorant.
 
     Rejects K below the majorant's certified crossover.  For uncentered
-    d = 1 the series is empty and the enclosure is the point [2, 2].
+    d = 1 no term is summed and c = 0, so the enclosure is the point [2, 2].
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     maj = tail_majorant(d, kind)
-    if kind == "uncentered":
-        lower = uncentered_constant_partial(d, K)
-    else:
-        lower = centered_constant_partial(d, K)
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    lower = _partial_sum(d, K, kind)
     upper = lower + maj.tail_bound(K)
     return ConstantEnclosure(d, kind, K, lower, upper, maj)
 
 
+@cache
 def bound_for_geometry(geometry: str, dim: int, terms: int = 1000) -> ConstantEnclosure:
     """Enclosure of the sharp Var/||f||_1 ratio bound for an operator geometry.
 
     The bound depends only on whether the geometry is centered and on dim,
-    so the 1-D names share theirs with l1 and cube at d = 1.
+    so the 1-D names share theirs with l1 and cube at d = 1.  Centered at
+    d = 1 it is the point `ONE_DIM_CENTERED_SHARP`.  Cached: the enclosure
+    is frozen, and every adaptive run needs it.
     """
-    kind = "centered" if BallSpec(geometry, dim).centered else "uncentered"
-    return _sharp_bound(kind, dim, terms)
-
-
-@cache
-def _sharp_bound(kind: str, dim: int, terms: int) -> ConstantEnclosure:
-    """Cached: the enclosure is frozen, and every adaptive run needs it."""
-    if kind == "centered" and dim == 1:
+    centered = BallSpec(geometry, dim).centered
+    if terms < 0:
+        raise ValueError("K must be >= 0")
+    if centered and dim == 1:
         maj = TailMajorant(1, "centered", Fraction(0), 0, "exact sharp constant 2")
         two = ONE_DIM_CENTERED_SHARP
         return ConstantEnclosure(1, "centered", 0, two, two, maj)
-    return constant_enclosure(dim, terms, kind)
+    return constant_enclosure(dim, terms, "centered" if centered else "uncentered")

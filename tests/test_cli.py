@@ -468,6 +468,20 @@ class TestTermsCap:
         assert many.returncode == few.returncode == 0, many.stderr
         assert many.stdout == few.stdout
 
+    # the 1-D bounds sum nothing, yet a negative K is still a usage error
+    @pytest.mark.parametrize("args", [
+        ("verify", "--input", "{doc}", "--geometry", "centered1d"),
+        ("verify", "--input", "{doc}", "--geometry", "uncentered1d"),
+        ("scan", "--geometry", "centered1d", "--radius", "1", "--box", "2"),
+        ("scan", "--geometry", "uncentered1d", "--radius", "1", "--box", "2"),
+    ], ids=["verify-centered1d", "verify-uncentered1d", "scan-centered1d", "scan-uncentered1d"])
+    def test_1d_negative_terms_exit_2(self, tmp_path, args):
+        doc = write_doc(tmp_path, "delta1.json", 1, [{"point": [0], "value": "1"}])
+        r = run_cli(*(a.format(doc=doc) for a in args), "--terms", "-1")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: K must be >= 0\n"
+
     def test_usage_errors_outrank_the_terms_cap(self, delta):
         verify_args, _ = self._commands(delta, "1000")
         for args in [

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from maxvar.constants import (
     tail_majorant,
     uncentered_constant_partial,
     uncentered_term,
+    _nonnegative_from,
     _partial_sum,
     _peval,
     _pvalues,
@@ -147,6 +149,32 @@ class TestTailMajorants:
         for k in (1, 2, 17):
             assert uncentered_term(2, k) == Q(8, k * (k + 1))
 
+    def test_uncentered_d1_certifies_zero(self):
+        # the zero numerator leaves nothing to bound: the general search
+        # certifies c = 0 at the first start
+        maj = tail_majorant(1, "uncentered")
+        assert maj.c == 0 and maj.crossover == 1
+
+    def test_search_pinned_through_d20(self):
+        # sha256 of the "kind d c crossover" lines: a change to the search
+        # order, the start list or the certificate test moves it
+        rows = [(kind, d, tail_majorant(d, kind)) for kind in ("centered", "uncentered")
+                for d in range(2, 21)]
+        text = "".join(f"{kind} {d} {m.c} {m.crossover}\n" for kind, d, m in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "57757241c0aec49c7d6a9c95b16b9ae628e1df7765942f5c1a9e55dbe286aa56"
+        )
+        # k0 > 1 is reached only by uncentered d >= 16
+        late = {(kind, d): m.crossover for kind, d, m in rows if m.crossover > 1}
+        assert late == {("uncentered", 16): 24, ("uncentered", 17): 12,
+                        ("uncentered", 18): 8, ("uncentered", 19): 8, ("uncentered", 20): 6}
+
+    def test_nonnegative_from(self):
+        poly = (8, -6, 1)  # (k - 2)(k - 4): shifted by 3, t^2 - 1; by 4, t^2 + 2t
+        assert not _nonnegative_from(poly, 3)
+        assert _nonnegative_from(poly, 4)
+        assert _nonnegative_from((), 1)
+
     def test_below_crossover_rejected(self):
         maj = TailMajorant(2, "centered", Q(4), 3, "synthetic")
         with pytest.raises(ValueError):
@@ -155,8 +183,9 @@ class TestTailMajorants:
 
 class TestEnclosures:
     def test_uncentered_d1_point_interval(self):
-        enc = constant_enclosure(1, 10, "uncentered")
-        assert enc.lower == enc.upper == 2
+        for K in (0, 10, 10**12):
+            enc = constant_enclosure(1, K, "uncentered")
+            assert enc.lower == enc.upper == 2
 
     def test_uncentered_d2_width_exact(self):
         enc = constant_enclosure(2, 1000, "uncentered")
@@ -195,6 +224,11 @@ class TestGeometryBounds:
     def test_uncentered_1d_exact_two(self):
         enc = bound_for_geometry("uncentered1d", 1)
         assert enc.lower == enc.upper == 2
+
+    @pytest.mark.parametrize("geometry, dim", [("centered1d", 1), ("uncentered1d", 1), ("l1", 2)])
+    def test_negative_terms_rejected(self, geometry, dim):
+        with pytest.raises(ValueError, match="K must be >= 0"):
+            bound_for_geometry(geometry, dim, -1)
 
     def test_cube_d2_upper_is_twelve(self):
         assert bound_for_geometry("cube", 2, terms=50).upper == 12
