@@ -346,18 +346,22 @@ def constant_enclosure(d: int, K: int, kind: str) -> ConstantEnclosure:
     return ConstantEnclosure(d, kind, K, lower, upper, maj)
 
 
-@cache
 def bound_for_geometry(geometry: str, dim: int, terms: int = 1000) -> ConstantEnclosure:
     """Enclosure of the sharp Var/||f||_1 ratio bound for an operator geometry.
 
     The bound depends only on whether the geometry is centered and on dim,
     so the 1-D names share theirs with l1 and cube at d = 1.  Centered at
-    d = 1 it is the point `ONE_DIM_CENTERED_SHARP`.  Cached: the enclosure
-    is frozen, and every adaptive run needs it.
+    d = 1 it is the point `ONE_DIM_CENTERED_SHARP`.  Cached per (centered,
+    dim, terms): the enclosure is frozen, and every adaptive run needs it.
     """
     centered = BallSpec(geometry, dim).centered
     if terms < 0:
         raise ValueError("K must be >= 0")
+    return _bound(centered, dim, terms)
+
+
+@cache
+def _bound(centered: bool, dim: int, terms: int) -> ConstantEnclosure:
     if centered and dim == 1:
         maj = TailMajorant(1, "centered", Fraction(0), 0, "exact sharp constant 2")
         two = ONE_DIM_CENTERED_SHARP

@@ -50,10 +50,18 @@ of v(t+1) - v(t) found by cross-multiplication, so only local extrema and
 line ends contribute.  Per chunk, the nonzero terms join one running pair
 of arrays (denominators, totals), and one stable sort and one
 `np.add.reduceat` total them per denominator again, so no chunk's terms
-outlive it.  Totals stay int64 while a checked bound keeps them below 2^63
-and become Python ints otherwise; at the end one integer pair (total,
-scale * den) per distinct denominator reaches `exact.tree_sum`, the lcm
-pair tree, once per sweep.
+outlive it; at the end one integer pair (total, scale * den) per distinct
+denominator reaches `exact.tree_sum`, the lcm pair tree, once per sweep.
+
+One integer width serves the whole sweep, decided by `_fits_int64` before
+either evaluator is built: int64 where every integer provably stays below
+2^63, object arrays of Python ints otherwise.  Let M be the scaled total
+mass and max_den the largest ball or box count in the sweep.  A numerator
+is at most M, a cross-multiplied product at most M max_den, a run-boundary
+term at most 2M.  A sweep evaluates at most 2 points cells (points =
+`sweep_points`), since a line cut into blocks repeats one stop per block,
+so no total or partial sum of totals passes 4M points.  The bound checked,
+M max(max_den, 2 points) < 2^62, keeps all of them below 2^63.
 
 Two evaluators feed the driver, chosen from the input alone, before either
 is built.  The vectorised one forms all candidates of the `maxop` kernels
@@ -62,15 +70,13 @@ support subset for cube at every d, per support point for l1 at d = 2 (the
 mass within its distance, from one broadcast comparison of the distances,
 over the ball count at that distance) -- and `_best` reduces that axis by
 an adjacent-pair tournament of cross-multiplications; each point keeps the
-lowest-index maximum, as a sequential scan would.  Its arrays are int64
-while `_grid_products_fit_int64` keeps every product exact, and object
-arrays of Python ints otherwise.  It takes every cube input, at any support
-size, and every l1 input at d = 2 of at most `_L1_GRID_POINTS` = 72 points
-(the two evaluators cross between 64 and 80).  Every other l1 input takes
-each distinct point's unreduced (mass, count) from one `maxop.integer_core`
-per sweep, as object arrays.  The lemma is a statement about the values of
-Mf, not about how they are computed, so the compression is exact for both
-evaluators.
+lowest-index maximum, as a sequential scan would.  It takes every cube
+input, at any support size, and every l1 input at d = 2 of at most
+`_L1_GRID_POINTS` = 72 points (the two evaluators cross between 64 and 80).
+Every other l1 input takes each distinct point's unreduced (mass, count)
+from one `maxop.integer_core` per sweep, in the sweep's width.  The lemma
+is a statement about the values of Mf, not about how they are computed, so
+the compression is exact for both evaluators.
 
 Cost: d (2R+1)^(d-1) lines of at most span + 2 points each (`sweep_points`),
 span being the support's extent along the line's axis, times C candidates
@@ -120,10 +126,10 @@ def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fracti
     stops = [list(chain(*parts)) for parts in _stops(f, R)]
     if not f:
         return Fraction(0)
+    dtype = np.int64 if _fits_int64(f, spec.centered, R, sweep_points(f, R)) else object
     if spec.centered and (f.dim != 2 or len(f.support) > _L1_GRID_POINTS):
-        return _sweep(*_exact_values(f, spec), R, stops)
-    fits = _grid_products_fit_int64(f, spec.centered, R)
-    return _sweep(*_vectorised_values(f, spec.centered, np.int64 if fits else object), R, stops)
+        return _sweep(*_exact_values(f, spec, dtype), R, stops)
+    return _sweep(*_vectorised_values(f, spec.centered, dtype), R, stops)
 
 
 def sweep_points(f: GridFunction, R: int) -> int:
@@ -150,20 +156,15 @@ def _stops(f: GridFunction, R: int) -> list[tuple[range, range, range]]:
     ]
 
 
-def _grid_products_fit_int64(f: GridFunction, centered: bool, R: int) -> bool:
-    """Cross-multiplied comparisons must stay exact in int64.
-
-    The largest numerator is the scaled total mass, the largest denominator
-    the largest ball (`centered`) or box count reachable inside the sweep;
-    their product is the biggest value formed, and d^2 times the ball count
-    bounds the intermediates of forming one.  Otherwise the evaluator runs
-    on object arrays.  Either bound is one closed form, O(1) at any R.
-    """
+def _fits_int64(f: GridFunction, centered: bool, R: int, points: int) -> bool:
+    """Every integer of a sweep of `points` points stays exact in int64:
+    the one width check of the module docstring, O(1) at any R.  d^2 times
+    the largest count bounds the intermediates of forming one."""
     masses, _ = f.integer_masses()
     span, d = f.support_radius(), f.dim
     box = (2 * R + 2 * span + 2) ** d
     max_den = lattice.l1_ball_count(d, d * (R + span) + 2) if centered else box
-    return sum(masses) * max_den < 2**62 and max_den * d * d < 2**63
+    return sum(masses) * max(max_den, 2 * points) < 2**62 and max_den * d * d < 2**63
 
 
 def _sweep(values, width: int, scale: int, R: int, stops: list[list[int]]) -> Fraction:
@@ -203,10 +204,8 @@ def _add_run_boundaries(num, den, dens, totals):
     of v(t+1) - v(t), compared by cross-multiplication; coefficients vanish
     away from monotone-run boundaries.  The nonzero terms join the running
     pair and are totalled per denominator by one stable sort and one
-    grouped reduction.  Works alike on int64 arrays, where
-    |coef_t * num_t| <= 2 max(num) cannot overflow while
-    `_grid_products_fit_int64` holds, and on object arrays of Python ints;
-    totals move to Python ints once their checked bound reaches 2^63.
+    grouped reduction.  Works alike on int64 arrays, which `_fits_int64`
+    keeps exact, and on object arrays of Python ints.
     """
     sign = np.sign(num[1:] * den[:-1] - num[:-1] * den[1:])
     coef = np.zeros(num.shape, dtype=sign.dtype)
@@ -216,10 +215,6 @@ def _add_run_boundaries(num, den, dens, totals):
     terms = coef[hit] * num[hit]
     if not terms.size:
         return dens, totals
-    # no total grows by more than the sum of the new terms' sizes
-    if terms.dtype != object and (
-            int(abs(totals).max(initial=0)) + int(abs(terms).max()) * terms.size >= 2**63):
-        terms = terms.astype(object)
     dens = np.concatenate((dens, den[hit]))
     order = np.argsort(dens, kind="stable")
     dens, terms = dens[order], np.concatenate((totals, terms))[order]
@@ -227,12 +222,12 @@ def _add_run_boundaries(num, den, dens, totals):
     return dens[starts], np.add.reduceat(terms, starts)
 
 
-def _exact_values(f: GridFunction, spec: BallSpec):
+def _exact_values(f: GridFunction, spec: BallSpec, dtype):
     """Evaluator of exact (mass, count) pairs, once per distinct point, as
-    object arrays, with its width 1 and scale."""
+    arrays of `dtype`, with its width 1 and scale."""
     core, scale = maxop.integer_core(f, spec)
     pairs = np.frompyfunc(cache(lambda *point: core(point)[:2]), f.dim, 2)
-    return (lambda coords: pairs(*coords)), 1, scale
+    return (lambda coords: np.asarray(pairs(*coords), dtype)), 1, scale
 
 
 # -- vectorised evaluator ----------------------------------------------------

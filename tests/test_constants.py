@@ -230,6 +230,13 @@ class TestGeometryBounds:
         with pytest.raises(ValueError, match="K must be >= 0"):
             bound_for_geometry(geometry, dim, -1)
 
+    def test_default_and_explicit_terms_share_one_enclosure(self):
+        assert bound_for_geometry("l1", 2) is bound_for_geometry("l1", 2, 1000)
+
+    def test_1d_names_share_the_d1_enclosures(self):
+        assert bound_for_geometry("cube", 1) is bound_for_geometry("uncentered1d", 1, 1000)
+        assert bound_for_geometry("l1", 1) is bound_for_geometry("centered1d", 1)
+
     def test_cube_d2_upper_is_twelve(self):
         assert bound_for_geometry("cube", 2, terms=50).upper == 12
 

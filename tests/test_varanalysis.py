@@ -39,6 +39,11 @@ def _random_f(d, rng, radius=4, signed=False):
     return GridFunction(d, vals)
 
 
+def _fits(f, centered, R):
+    """The sweep's one int64 decision at radius R."""
+    return varanalysis._fits_int64(f, centered, R, varanalysis.sweep_points(f, R))
+
+
 class TestTruncatedVariation:
     def test_centered_1d_delta_telescopes(self):
         f = GridFunction.delta(0)
@@ -88,12 +93,10 @@ class TestTruncatedVariation:
             (2, 0): Q(1, 10**9 + 21),
         }
         f = GridFunction(2, vals)
-        assert not varanalysis._grid_products_fit_int64(f, True, 5)
+        assert not _fits(f, True, 5)
         spec = BallSpec("l1", 2)
         assert truncated_variation_maxfn(f, spec, 4) == _box_reference(f, spec, 4)
-        assert varanalysis._grid_products_fit_int64(
-            GridFunction(2, {(0, 0): Q(1, 2)}), True, 1000
-        )
+        assert _fits(GridFunction(2, {(0, 0): Q(1, 2)}), True, 1000)
         for geom in ("l1", "cube"):
             spec = BallSpec(geom, 2)
             for R in range(f.support_radius(), f.support_radius() + 10):
@@ -111,7 +114,7 @@ class TestTruncatedVariation:
             k = 2 * R + 2
             assert l1_ball_count(2, k) < 2**62
             assert (8 * k * (k - 1) < 2**63) == fits
-            assert varanalysis._grid_products_fit_int64(delta, True, R) == fits
+            assert _fits(delta, True, R) == fits
             exact = counts(2, np.array([k], dtype=np.int64))[0] == l1_ball_count(2, k)
             assert exact == fits
 
@@ -188,7 +191,7 @@ class TestSweepMatchesReference:
         spec = BallSpec("cube", 2)
         R = f.support_radius() + extra
         assert len(f.support) <= 8
-        assert varanalysis._grid_products_fit_int64(f, False, R)
+        assert _fits(f, False, R)
         assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
 
     @settings(SWEEP, max_examples=6)
@@ -197,7 +200,7 @@ class TestSweepMatchesReference:
         spec = BallSpec("l1", 2)
         R = f.support_radius() + extra
         assert len(f.support) <= 8
-        assert varanalysis._grid_products_fit_int64(f, True, R)
+        assert _fits(f, True, R)
         assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
 
     @pytest.mark.parametrize(
@@ -214,7 +217,7 @@ class TestSweepMatchesReference:
         f = GridFunction(2, values)
         spec = BallSpec("l1", 2)
         for R in (f.support_radius(), f.support_radius() + 3):
-            assert varanalysis._grid_products_fit_int64(f, True, R)
+            assert _fits(f, True, R)
             assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
 
     @pytest.mark.parametrize("geometry", ["l1", "cube"])
@@ -229,7 +232,7 @@ class TestSweepMatchesReference:
         def check(f, extra):
             R = f.support_radius() + extra
             assert len(f.support) > 8
-            assert varanalysis._grid_products_fit_int64(f, spec.centered, R)
+            assert _fits(f, spec.centered, R)
             assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
 
         check()
@@ -245,7 +248,7 @@ class TestSweepMatchesReference:
         @given(_functions(d, radius, 1, 6), st.integers(0, 9))
         def check(f, extra):
             R = f.support_radius() + extra
-            assert varanalysis._grid_products_fit_int64(f, False, R)
+            assert _fits(f, False, R)
             assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
 
         check()
@@ -298,7 +301,7 @@ class TestSweepMatchesReference:
         def check(f, extra):
             f = f.scale(scale)
             R = f.support_radius() + extra
-            assert not varanalysis._grid_products_fit_int64(f, spec.centered, R)
+            assert not _fits(f, spec.centered, R)
             dtypes.clear()
             assert truncated_variation_maxfn(f, spec, R) == _box_reference(f, spec, R)
             assert set(dtypes) == {np.dtype(object)}
@@ -372,11 +375,15 @@ class TestRunBoundaryReduction:
         den = np.full((3, 5), 2, dtype=np.int64)
         assert self._check(num, den, {2: 1}) == {2: 1}
 
-    def test_int64_totals_beyond_2_63(self):
-        # every term fits in int64, their per-denominator total does not
-        num = np.tile(np.array([0, 2**61], dtype=np.int64), (4, 8))
-        acc = self._check(num, np.ones_like(num))
-        assert acc[1] > 2**63
+    @pytest.mark.parametrize("geometry", ["l1", "cube"])
+    def test_points_bound_the_int64_totals(self, geometry):
+        # a unit delta's products fit at R = 5, but 2^61 points evaluate up
+        # to 2^62 cells, whose run-boundary terms of up to 2 could total
+        # 2^63: refused there, accepted one point fewer
+        delta = GridFunction.delta((0, 0))
+        centered = BallSpec(geometry, 2).centered
+        assert varanalysis._fits_int64(delta, centered, 5, 2**61 - 1)
+        assert not varanalysis._fits_int64(delta, centered, 5, 2**61)
 
     def test_object_arrays_beyond_2_63(self):
         rng = random.Random(5)
@@ -405,15 +412,6 @@ class TestRunBoundaryReduction:
                 sl = np.s_[r0 : r0 + rows, c0 : c0 + cols]
                 got, dens, totals = _merged(num[sl], den[sl], dens, totals)
         assert got == want
-
-    def test_running_totals_beyond_2_63(self):
-        # each chunk's own total fits in int64, the running total does not
-        num = np.tile(np.array([0, 2**60, 0], dtype=np.int64), (8, 1))
-        den = np.ones_like(num)
-        dens, totals = _running({})
-        for row in range(8):
-            got, dens, totals = _merged(num[row : row + 1], den[row : row + 1], dens, totals)
-        assert got == {1: 8 * 2**61}
 
 
 def _best_sequential(num, den):
@@ -468,7 +466,7 @@ class TestTournament:
 
     def test_products_just_below_the_int64_bound(self):
         # masses near 2^40 against counts near 2^22: every product is just
-        # under 2^62, the bound `_grid_products_fit_int64` enforces
+        # under 2^62, the bound `_fits_int64` enforces
         rng = np.random.default_rng(7)
         top_num, top_den = 2**40, 2**22
         num = top_num - rng.integers(1, 4, size=(7, 1, 1))
@@ -619,9 +617,9 @@ class TestChunkBudget:
     def test_cube_arrays_stay_within_the_budget(self, d, points, reach, R, scale, monkeypatch):
         f = _spread(d, random.Random(d), points, reach).scale(scale)
         spec = BallSpec("cube", d)
-        assert varanalysis._grid_products_fit_int64(f, False, R) == (scale == 1)
+        assert _fits(f, False, R) == (scale == 1)
         want = varanalysis._sweep(
-            *varanalysis._exact_values(f, spec), R,
+            *varanalysis._exact_values(f, spec, object), R,
             [list(chain(*parts)) for parts in varanalysis._stops(f, R)],
         )
         var, arrays, sizes = self._recorded(f, spec, R, monkeypatch)
@@ -660,7 +658,7 @@ class TestChunkBudget:
         R = f.support_radius() + 3
         width = len(maxop.hull_closures(f.support, tuple(f.integer_masses()[0])))
         want = varanalysis._sweep(
-            *varanalysis._exact_values(f, spec), R,
+            *varanalysis._exact_values(f, spec, object), R,
             [list(chain(*parts)) for parts in varanalysis._stops(f, R)],
         )
         monkeypatch.setattr(varanalysis, "_exact_values", _no_exact_values)
@@ -754,7 +752,7 @@ class TestChunkIndependence:
         def check(f, extra):
             f = f.scale(scale)
             R = f.support_radius() + extra
-            assert varanalysis._grid_products_fit_int64(f, spec.centered, R) == (scale == 1)
+            assert _fits(f, spec.centered, R) == (scale == 1)
             values = set()
             for cells in budgets:
                 monkeypatch.setattr(varanalysis, "_CHUNK_CELLS", cells)
@@ -787,7 +785,8 @@ class TestSweepPoints:
     def test_exact_evaluator_calls_the_core_once_per_distinct_point(self, monkeypatch):
         # support box [-1, 1]^3 at R = 4: each axis stops at {-4, -1, 0, 1, 4},
         # so the sweep meets 9^3 - 4^3 distinct points of its 1,215 stops;
-        # the masses are normalised once per sweep, not once per point
+        # the masses are normalised twice per sweep, for its int64 check and
+        # for the core, not once per point
         f = GridFunction(3, {(-1, -1, -1): 1, (1, 0, 1): Q(2, 3), (0, 1, 0): 3})
         spec = BallSpec("l1", 3)
         calls, normalised = [], []
@@ -808,7 +807,7 @@ class TestSweepPoints:
         var = truncated_variation_maxfn(f, spec, 4)
         assert varanalysis.sweep_points(f, 4) == 1215
         assert len(calls) == len(set(calls)) == 9**3 - 4**3
-        assert normalised == [f]
+        assert normalised == [f, f]
         monkeypatch.undo()
         assert var == _box_reference(f, spec, 4)
 
@@ -835,12 +834,56 @@ class TestExactValues:
         @settings(SWEEP, max_examples=10)
         @given(_functions(d, radius, 1, 6))
         def check(f):
-            values, width, scale = varanalysis._exact_values(f, spec)
-            num, den = values(grid)
-            assert width == 1 and num.dtype == den.dtype == np.dtype(object)
-            for idx in np.ndindex(num.shape):
-                point = tuple(int(c[idx]) for c in grid)
-                assert Q(num[idx], scale * den[idx]) == maximal_witness(f, spec, point).value
+            # int64 pairs where the sweep's bound holds, Python ints past it
+            for g, dtype in [(f, np.int64), (f.scale(10**19), object)]:
+                assert _fits(g, spec.centered, reach) == (dtype is np.int64)
+                values, width, scale = varanalysis._exact_values(g, spec, dtype)
+                num, den = values(grid)
+                assert width == 1 and num.dtype == den.dtype == np.dtype(dtype)
+                for idx in np.ndindex(num.shape):
+                    point = tuple(int(c[idx]) for c in grid)
+                    want = maximal_witness(g, spec, point).value
+                    assert Q(int(num[idx]), scale * int(den[idx])) == want
+
+        check()
+
+
+class TestExactInt64Path:
+    """The exact evaluator on int64 arrays against itself on Python ints:
+    scaling f by a power of two past the sweep's bound scales the variation
+    by it and moves the whole sweep to object arrays."""
+
+    @pytest.mark.parametrize("d, radius, max_size, examples", [(1, 6, 6, 20), (3, 1, 4, 8)])
+    def test_scaling_past_the_bound_scales_the_variation(
+        self, d, radius, max_size, examples, monkeypatch
+    ):
+        widths, dtypes = [], []
+        exact, reduce = varanalysis._exact_values, varanalysis._add_run_boundaries
+
+        def recording_exact(f, spec, dtype):
+            widths.append(np.dtype(dtype))
+            return exact(f, spec, dtype)
+
+        def recording_reduce(num, den, *running):
+            dtypes.extend((num.dtype, den.dtype))
+            return reduce(num, den, *running)
+
+        monkeypatch.setattr(varanalysis, "_exact_values", recording_exact)
+        monkeypatch.setattr(varanalysis, "_add_run_boundaries", recording_reduce)
+        spec, c = BallSpec("l1", d), 2**64
+
+        @settings(SWEEP, max_examples=examples)
+        @given(_functions(d, radius, 1, max_size), st.integers(0, 9))
+        def check(f, extra):
+            R = f.support_radius() + extra
+            assert _fits(f, True, R) and not _fits(f.scale(c), True, R)
+            variations = []
+            for g, dtype in [(f, np.int64), (f.scale(c), object)]:
+                widths.clear()
+                dtypes.clear()
+                variations.append(truncated_variation_maxfn(g, spec, R))
+                assert widths == [np.dtype(dtype)] and set(dtypes) == {np.dtype(dtype)}
+            assert variations[1] == c * variations[0]
 
         check()
 
