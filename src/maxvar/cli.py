@@ -23,24 +23,25 @@ failure, 3 enumeration cap exceeded, 4 geometry/dimension mismatch.  The cap
 --enumerate` lists, and before any work each command checks these costs
 against it.  Here d is --dim, the input's dimension for `maxfn` and `verify`,
 and 2 (1 for the 1-D geometries) for `scan`; bitlen(K) is K's bit length.
-At d = 1 every sharp bound is exactly 2 and no term is summed, so --terms
-costs 0 there; a negative K still exits 2.
+At d = 1 every sharp bound is exactly 2 and Ct(2) telescopes, so --terms
+costs 0 there and at uncentered d = 2; a negative K still exits 2.
 
   command   flags               cost checked
   count     --dim, --radius k   2(d+1)(k+1): the closed form's min(d, k) steps
                                 times their O(d + k)-bit integers
   maxfn     --box R             (2R+1)^d points of the box
-  constant  --terms K, --dim    K d bitlen(K), 0 at d = 1: K exact terms whose
-                                denominators have about d bitlen(K) bits
+  constant  --terms K, --dim    K d bitlen(K), K (d-1) bitlen(K) uncentered,
+                                0 at d = 1 and uncentered d = 2: K exact terms
+                                over N(d, k), or k^(d-1) uncentered
   constant  --dim               (2d)^3: the (2d)^2 steps of shifting the
                                 certificate's degree-2d polynomials times
                                 their O(d)-digit coefficients
   constant  --digits D          3D digits of the three decimals printed
   verify    --rmax R            the points the line sweep evaluates
-  verify    --terms K           K d bitlen(K), 0 at d = 1, as for `constant`
+  verify    --terms K           as for `constant`, with the geometry's kind
   scan      --radius r, --box R the points the line sweep evaluates for the
                                 pair {0, (r, ..., r)}, which bounds every member
-  scan      --terms K           K d bitlen(K), 0 at d = 1, as for `constant`
+  scan      --terms K           as for `constant`, with the geometry's kind
 """
 
 from __future__ import annotations
@@ -166,11 +167,13 @@ def _check_cap(cost: int, what: str) -> None:
         raise CliError(f"{what}: {cost} > cap {cap}", EXIT_CAP)
 
 
-def _check_terms(K: int, d: int, dim_text: str) -> None:
-    """--terms K sums K terms of about d bitlen(K) bits; at d = 1 every sharp
-    bound is exactly 2 and sums nothing."""
-    if d > 1:
-        _check_cap(K * d * K.bit_length(), f"bits of the partial sum at --terms {K}{dim_text}")
+def _check_terms(K: int, d: int, dim_text: str, centered: bool) -> None:
+    """--terms K sums K terms whose denominators, N(d, k) centered and
+    k^(d-1) uncentered, have about `factors` bitlen(K) bits; at factors = 1
+    nothing is summed: the 1-D bounds are exactly 2 and Ct(2) telescopes."""
+    factors = d if centered else d - 1
+    if factors > 1:
+        _check_cap(K * factors * K.bit_length(), f"bits of the partial sum at --terms {K}{dim_text}")
 
 
 def _enum_cap() -> int:
@@ -231,7 +234,7 @@ def cmd_constant(args: argparse.Namespace) -> int:
     if args.digits < 0:
         raise CliError("--digits must be >= 0", EXIT_USAGE)
     K = args.terms
-    _check_terms(K, d, f" --dim {d}")
+    _check_terms(K, d, f" --dim {d}", kind == "centered")
     _check_cap((2 * d) ** 3, f"steps times digits of the certificate at --dim {d}")
     _check_cap(3 * args.digits, f"digits printed at --digits {args.digits}")
     try:
@@ -269,7 +272,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if epsilon <= 0:  # a usage error outranks the terms cap
             raise ValueError("epsilon must be positive")
         K = args.terms
-        _check_terms(K, f.dim, f", dim {f.dim}")
+        _check_terms(K, f.dim, f", dim {f.dim}", spec.centered)
         record, report = verify.verify_inequality(
             f, spec, epsilon, r_max=args.rmax, terms=K
         )
@@ -412,7 +415,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         pair = GridFunction(dim, {(0,) * dim: 1, (args.radius,) * dim: 1})
         _check_cap(varanalysis.sweep_points(pair, args.box),
                    f"points of the line sweep at --radius {args.radius} --box {args.box}")
-        _check_terms(K, dim, f", dim {dim}")
+        _check_terms(K, dim, f", dim {dim}", spec.centered)
     try:
         records = verify.scan_extremizers(
             spec, max_distance=args.radius, R=args.box, terms=K

@@ -18,14 +18,30 @@ Centered, C(1) is undefined; the interval operator's constant is
 
 For each (d, kind) the term t_k is a fixed rational function of k,
 num(k) / den(k) with integer-coefficient polynomials (`_term_polynomials`).
-Partial sums form the polynomials' values at k = 1..K by nested cumulative
-sums over their constant highest forward difference, and add the quotients
-as exact rationals.  This is exact for every k >= 1, not only where it is
-checked: the centered num and den expand the closed form of N(d, k) as a
-polynomial in k (see below), and the uncentered quotient equals the
-defining expression by an algebraic identity in (a + b) and b.
+Centered partial sums form the polynomials' values at k = 1..K by nested
+cumulative sums over their constant highest forward difference, and add the
+quotients as exact rationals.  This is exact for every k >= 1, not only
+where it is checked: the centered num and den expand the closed form of
+N(d, k) as a polynomial in k (see below), and the uncentered quotient equals
+the defining expression by an algebraic identity in (a + b) and b.
 `centered_term` and `uncentered_term` stay the reference definitions that
 the polynomials are checked against at k = 1..40.
+
+Uncentered partial sums go through the partial fractions of the term.  Let
+m = d - 1.  num has the factor k (top(0) = bot(0) = -1 in
+`_term_polynomials`), and the k^(2m) parts of top^m and bot^m cancel, so
+after cancelling k the numerator has degree at most 2m - 2 over
+k^m (k+1)^m.  Hence t_k = sum_{i<=m} alpha_i/k^i + beta_i/(k+1)^i with
+integers alpha_i, beta_i (Taylor coefficients at k = 0 and k = -1), and
+alpha_1 + beta_1 = 0 as t_k = O(1/k^2).  The (k+1)-parts telescope:
+
+    S_K = r_0 + sum_i beta_i/(K+1)^i + sum_{k=1}^{K} Q(k)/k^m,
+
+r_0 = 2d - sum_i beta_i and Q(k) = sum_{i>=2} q_i k^(m-i), q_i = alpha_i +
+beta_i; at d <= 2, Q = 0 and nothing is summed.  So Ct(d) = r_0 +
+sum_{j>=2} q_j zeta(j) (Edwards, *Riemann's Zeta Function*, 1974).
+`_uncentered_parts` proves the split by recombining it into num/den as
+integer polynomials, and raises if that fails or alpha_1 + beta_1 != 0.
 
 Enclosures add a certified tail bound: we certify a majorant
 
@@ -106,11 +122,15 @@ def uncentered_constant_partial(d: int, K: int) -> Fraction:
 
 
 def _partial_sum(d: int, K: int, kind: str) -> Fraction:
-    """2d + sum_{k=1}^{K} num(k) / den(k), from the integer term polynomials;
-    2d at once where num is the zero polynomial (uncentered at d = 1)."""
+    """2d + sum_{k=1}^{K} term_k: centered from the integer term polynomials,
+    uncentered from its partial fractions, summing nothing at d <= 2."""
+    if kind == "uncentered":
+        r0, B, Q = _uncentered_parts(d)
+        lower = r0 + Fraction(_peval(B, K + 1), (K + 1) ** (d - 1))
+        if not Q:
+            return lower
+        return lower + tree_sum(zip(_pvalues(Q, K), _pvalues((0,) * (d - 1) + (1,), K)))
     num, den = _term_polynomials(d, kind)
-    if not num:
-        return Fraction(2 * d)
     return 2 * d + tree_sum(zip(_pvalues(num, K), _pvalues(den, K)))
 
 
@@ -214,7 +234,7 @@ def _count_poly(d: int) -> Poly:
 def _term_polynomials(d: int, kind: str) -> tuple[Poly, Poly]:
     """(num, den) with term_k = num(k) / den(k) for k >= 1, both with int coefficients.
 
-    Partial sums evaluate these polynomials, so they must give the term
+    Partial sums are formed from these polynomials, so they must give the term
     exactly at every k >= 1, not only at the k = 1..40 checked here.
     Centered: num = 2d * (N(d-1, k) - N(d-1, k-1)) and den = N(d, k) come
     from `_count_poly`, whose binomial sum is N(d, k) at every k >= 0;
@@ -244,6 +264,24 @@ def _term_polynomials(d: int, kind: str) -> tuple[Poly, Poly]:
                 f"term polynomial mismatch at d={d}, kind={kind}, k={k}"
             )
     return num, den
+
+
+@cache
+def _uncentered_parts(d: int) -> tuple[int, Poly, Poly]:
+    """(r_0, B, Q) of the module docstring, B(t) = sum_i beta_i t^(m-i), proven
+    by recombining them into `_term_polynomials` as integer polynomials."""
+    num, den = _term_polynomials(d, "uncentered")
+    m, x, x1 = d - 1, (0, 1), (1, 1)
+    # Taylor quotients of num/k by (k+1)^m at k = 0 and by k^m = (t-1)^m at t = k + 1 = 0,
+    # from 1/(1+x)^m = sum_j C(m+j-1, j) (-x)^j; A(k)/k^m = sum_i alpha_i/k^i
+    series = [comb(m + j - 1, j) for j in range(m)]
+    A = _pmul(num[1:], tuple((-1) ** j * c for j, c in enumerate(series)))[:m]
+    B = _pmul(_pshift(num[1:], -1), tuple((-1) ** m * c for c in series))[:m]
+    joined = _padd(_pmul(A, _ppow(x1, m)), _pmul(_pshift(B, 1), _ppow(x, m)))
+    if (_ptrim(_pmul(x, joined)) != num or den != _pmul(_ppow(x, d), _ppow(x1, m))
+            or m and A[-1] + B[-1]):  # alpha_1 + beta_1
+        raise AssertionError(f"uncentered partial fractions fail at d={d}")
+    return 2 * d - sum(B), B, _padd(A, B)[: m - 1]
 
 
 @dataclass(frozen=True)

@@ -346,9 +346,12 @@ def integer_core(f: GridFunction, spec: BallSpec) -> tuple[Callable, int]:
     """f's kernel core, a function of the point alone, and the scale: the
     winner's (mass, count, region data) at n, Mf(n) = mass / (scale * count).
     The masses, and the cube's closed boxes, are formed once."""
+    return _integer_core(f, spec, *f.integer_masses())
+
+
+def _integer_core(f: GridFunction, spec: BallSpec, masses: list[int], scale: int):
     if spec.dim != f.dim:
         raise ValueError(f"spec dim {spec.dim} does not match function dim {f.dim}")
-    masses, scale = f.integer_masses()
     if spec.centered:
         return partial(_l1_core, f.support, masses), scale
     if f.dim == 1:

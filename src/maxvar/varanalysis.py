@@ -123,13 +123,15 @@ def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fracti
     """
     if spec.dim != f.dim:
         raise ValueError("spec dimension does not match function dimension")
-    stops = [list(chain(*parts)) for parts in _stops(f, R)]
+    stops = _stops(f, R)
     if not f:
         return Fraction(0)
-    dtype = np.int64 if _fits_int64(f, spec.centered, R, sweep_points(f, R)) else object
+    normalised = f.integer_masses()  # one normalisation for the width and the evaluator
+    dtype = np.int64 if _fits_int64(f, normalised[0], spec.centered, R, _points(stops, R)) else object
+    lines = [list(chain(*parts)) for parts in stops]
     if spec.centered and (f.dim != 2 or len(f.support) > _L1_GRID_POINTS):
-        return _sweep(*_exact_values(f, spec, dtype), R, stops)
-    return _sweep(*_vectorised_values(f, spec.centered, dtype), R, stops)
+        return _sweep(*_exact_values(f, spec, dtype, normalised), R, lines)
+    return _sweep(*_vectorised_values(f, spec.centered, dtype, normalised), R, lines)
 
 
 def sweep_points(f: GridFunction, R: int) -> int:
@@ -137,7 +139,11 @@ def sweep_points(f: GridFunction, R: int) -> int:
     counted without forming them: per axis, (2R+1)^(d-1) lines at its
     stops.  A line cut into blocks evaluates the stops its blocks share
     twice; those repeats are not counted."""
-    return sum((2 * R + 1) ** (f.dim - 1) * sum(map(len, parts)) for parts in _stops(f, R))
+    return _points(_stops(f, R), R)
+
+
+def _points(stops: list[tuple[range, range, range]], R: int) -> int:
+    return sum((2 * R + 1) ** (len(stops) - 1) * sum(map(len, parts)) for parts in stops)
 
 
 def _stops(f: GridFunction, R: int) -> list[tuple[range, range, range]]:
@@ -156,11 +162,10 @@ def _stops(f: GridFunction, R: int) -> list[tuple[range, range, range]]:
     ]
 
 
-def _fits_int64(f: GridFunction, centered: bool, R: int, points: int) -> bool:
-    """Every integer of a sweep of `points` points stays exact in int64:
-    the one width check of the module docstring, O(1) at any R.  d^2 times
-    the largest count bounds the intermediates of forming one."""
-    masses, _ = f.integer_masses()
+def _fits_int64(f: GridFunction, masses: list[int], centered: bool, R: int, points: int) -> bool:
+    """Every integer of a sweep of f's `masses` at `points` points stays exact
+    in int64: the one width check of the module docstring, O(1) at any R.
+    d^2 times the largest count bounds the intermediates of forming one."""
     span, d = f.support_radius(), f.dim
     box = (2 * R + 2 * span + 2) ** d
     max_den = lattice.l1_ball_count(d, d * (R + span) + 2) if centered else box
@@ -222,19 +227,19 @@ def _add_run_boundaries(num, den, dens, totals):
     return dens[starts], np.add.reduceat(terms, starts)
 
 
-def _exact_values(f: GridFunction, spec: BallSpec, dtype):
-    """Evaluator of exact (mass, count) pairs, once per distinct point, as
-    arrays of `dtype`, with its width 1 and scale."""
-    core, scale = maxop.integer_core(f, spec)
+def _exact_values(f: GridFunction, spec: BallSpec, dtype, normalised: tuple[list[int], int]):
+    """Evaluator of exact (mass, count) pairs of f's `normalised` masses, once
+    per distinct point, as arrays of `dtype`, with its width 1 and scale."""
+    core, scale = maxop._integer_core(f, spec, *normalised)
     pairs = np.frompyfunc(cache(lambda *point: core(point)[:2]), f.dim, 2)
     return (lambda coords: np.asarray(pairs(*coords), dtype)), 1, scale
 
 
 # -- vectorised evaluator ----------------------------------------------------
 
-def _vectorised_values(f: GridFunction, centered: bool, dtype):
+def _vectorised_values(f: GridFunction, centered: bool, dtype, normalised: tuple[list[int], int]):
     """Evaluator of integer values (l1 at d = 2, cube at any d), with its
-    width and scale.
+    width and scale, from f's `integer_masses()`.
 
     The candidates at the points of a chunk are (num, den) arrays of `dtype`
     (int64, or object for Python ints) stacked along a leading axis, num
@@ -242,7 +247,7 @@ def _vectorised_values(f: GridFunction, centered: bool, dtype):
     num / (scale * den), which `_best` picks.  `width` is the widest array's
     cells per point.  Columns are formed once per sweep.
     """
-    masses, scale = f.integer_masses()
+    masses, scale = normalised
     if centered:
         px, py = np.array(f.support, dtype=np.int64).T[:, :, None, None]
         candidates = partial(_l1_candidates_2d, px, py, np.array(masses, dtype=dtype))

@@ -430,9 +430,10 @@ class TestScan:
 
 
 class TestTermsCap:
-    """`verify` and `scan` refuse --terms K whose cost K d bitlen(K) is above
-    MAXVAR_ENUM_CAP before summing, as `constant` does; a usage error still
-    exits 2 first.  At d = 1 every bound is exactly 2 and --terms costs 0."""
+    """`verify` and `scan` refuse --terms K whose cost K d bitlen(K), or
+    K (d-1) bitlen(K) uncentered, is above MAXVAR_ENUM_CAP before summing, as
+    `constant` does; a usage error still exits 2 first.  At d = 1 every bound
+    is exactly 2, and Ct(2) telescopes: --terms costs 0 there."""
 
     @pytest.fixture
     def delta(self, tmp_path):
@@ -441,7 +442,7 @@ class TestTermsCap:
     def _commands(self, delta, terms):
         return [
             ("verify", "--input", delta, "--geometry", "l1", "--rmax", "2", "--terms", terms),
-            ("scan", "--geometry", "cube", "--radius", "0", "--box", "1", "--terms", terms),
+            ("scan", "--geometry", "l1", "--radius", "0", "--box", "1", "--terms", terms),
         ]
 
     # at dim 2: 42 * 2 * 6 = 504, then 41 * 2 * 6 = 492
@@ -467,6 +468,31 @@ class TestTermsCap:
         many, few = (run_cli(*args, "--terms", terms) for terms in ("1000000", "1000"))
         assert many.returncode == few.returncode == 0, many.stderr
         assert many.stdout == few.stdout
+
+    # uncentered, the terms sum over k^(d-1): at dim 3, 42 * 2 * 6 = 504, then 41 * 2 * 6 = 492
+    @pytest.mark.parametrize("terms, code", [("42", 3), ("41", 0)])
+    def test_uncentered_terms_cost_d_minus_1(self, terms, code):
+        r = run_cli("constant", "--kind", "uncentered", "--dim", "3", "--terms", terms,
+                    env_extra={"MAXVAR_ENUM_CAP": "500"})
+        assert r.returncode == code
+        if code:
+            assert r.stdout == ""
+            assert r.stderr == "error: bits of the partial sum at --terms 42 --dim 3: 504 > cap 500\n"
+
+    # Ct(2) telescopes; the cost at d = 2 would be 10^6 * 1 * 20 = 2 * 10^7, past the default cap
+    @pytest.mark.parametrize("args", [
+        ("verify", "--input", "{doc}", "--geometry", "cube", "--rmax", "2"),
+        ("scan", "--geometry", "cube", "--radius", "0", "--box", "1"),
+        ("constant", "--kind", "uncentered", "--dim", "2"),
+    ], ids=["verify-cube", "scan-cube", "constant-uncentered"])
+    def test_uncentered_d2_terms_cost_nothing(self, delta, args):
+        args = tuple(a.format(doc=delta) for a in args)
+        many, few = (run_cli(*args, "--terms", terms) for terms in ("1000000", "1000"))
+        assert many.returncode == few.returncode == 0, many.stderr
+        if args[0] == "constant":
+            assert many.stdout.splitlines()[0] == "[12000004/1000001, 12]"
+        else:
+            assert many.stdout == few.stdout
 
     # the 1-D bounds sum nothing, yet a negative K is still a usage error
     @pytest.mark.parametrize("args", [
@@ -540,7 +566,7 @@ class TestCapRefusals:
          ("--terms",)),
         ("320", ("scan", "--geometry", "cube", "--radius", "1", "--box", "20", "--terms", "10"),
          ("--radius", "--box")),
-        ("500", ("scan", "--geometry", "cube", "--radius", "0", "--box", "1", "--terms", "42"),
+        ("500", ("scan", "--geometry", "l1", "--radius", "0", "--box", "1", "--terms", "42"),
          ("--terms",)),
     ], ids=["count", "maxfn-box", "constant-terms", "constant-dim", "constant-digits",
             "verify-rmax", "verify-terms", "scan-box", "scan-terms"])

@@ -21,6 +21,7 @@ from maxvar.constants import (
     _pvalues,
     _term_polynomials,
 )
+from maxvar.exact import tree_sum
 
 Q = Fraction
 
@@ -122,6 +123,63 @@ class TestCumulativeValues:
             if K:
                 total += term(d, K)
             assert _partial_sum(d, K, kind) == total, K
+
+
+def _term_polynomial_sum(d, K):
+    """The uncentered partial sum as the term polynomials give it: 2d plus
+    the exact quotients num(k)/den(k), k = 1..K, joined by `tree_sum`."""
+    num, den = _term_polynomials(d, "uncentered")
+    if not num:
+        return Q(2 * d)
+    return 2 * d + tree_sum(zip(_pvalues(num, K), _pvalues(den, K)))
+
+
+def _corrupt(monkeypatch, change):
+    """Let `_uncentered_parts` read `change(num)` as its numerator."""
+    polys = _term_polynomials
+    monkeypatch.setattr(constants, "_term_polynomials",
+                        lambda d, kind: (change(polys(d, kind)[0]), polys(d, kind)[1]))
+
+
+class TestUncenteredPartialFractions:
+    """S_K = r_0 + sum_i beta_i/(K+1)^i + sum_{k<=K} Q(k)/k^(d-1), proven by
+    recombining the parts into the term polynomials."""
+
+    # Ct(d) = r_0 + sum_{j>=2} q_j zeta(j), q listed from j = 2
+    @pytest.mark.parametrize("d, r0, q", [
+        (2, 12, ()),
+        (3, 126, (-48,)),
+        (4, 1304, (-688, -16)),
+        (5, 12410, (-6880, -320, -240)),
+    ])
+    def test_closed_form_coefficients(self, d, r0, q):
+        r, _, poly = constants._uncentered_parts(d)
+        assert (r, poly[::-1]) == (r0, q)
+        assert all(type(c) is int for c in poly)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=8)
+    @given(K=st.integers(0, 3100))
+    def test_equal_the_term_polynomial_sums(self, d, K):
+        for k in {0, 1, 2, d - 1, d, d + 1, 60, K}:
+            assert _partial_sum(d, k, "uncentered") == _term_polynomial_sum(d, k), k
+
+    def test_d2_sums_no_term(self, monkeypatch):
+        monkeypatch.setattr(constants, "tree_sum", None)
+        enc = constant_enclosure(2, 10**12, "uncentered")
+        assert (enc.lower, enc.upper) == (12 - Q(8, 10**12 + 1), 12)
+
+    # a nonzero constant term: num/den has no factor k to cancel
+    def test_recombination_checks_the_numerator(self, monkeypatch):
+        _corrupt(monkeypatch, lambda num: (1,) + num[1:])
+        with pytest.raises(AssertionError, match="partial fractions"):
+            constants._uncentered_parts.__wrapped__(4)
+
+    # a term of order 1/k: the parts recombine, but alpha_1 + beta_1 != 0
+    def test_the_1_over_k_parts_must_cancel(self, monkeypatch):
+        _corrupt(monkeypatch, lambda num: num + (1,))
+        with pytest.raises(AssertionError, match="partial fractions"):
+            constants._uncentered_parts.__wrapped__(4)
 
 
 class TestTailMajorants:
@@ -298,3 +356,36 @@ def test_certificate_checks_survive_python_O():
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["True"] * 6
+
+
+_OPTIMIZED_PARTIAL_FRACTIONS = """
+import sys
+from maxvar import constants
+
+if __debug__:
+    sys.exit("expected python -O")
+
+polys = constants._term_polynomials
+# a numerator without the factor k, then one whose term decays like 1/k
+for change in (lambda num: (1,) + num[1:], lambda num: num + (1,)):
+    constants._term_polynomials = lambda d, kind: (change(polys(d, kind)[0]), polys(d, kind)[1])
+    try:
+        constants._uncentered_parts.__wrapped__(4)
+        print(False)
+    except AssertionError:
+        print(True)
+constants._term_polynomials = polys
+print(constants._uncentered_parts(4)[0] == 1304)
+"""
+
+
+def test_partial_fraction_checks_survive_python_O():
+    import subprocess
+    import sys
+
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_PARTIAL_FRACTIONS],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["True"] * 3

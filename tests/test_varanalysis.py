@@ -41,7 +41,8 @@ def _random_f(d, rng, radius=4, signed=False):
 
 def _fits(f, centered, R):
     """The sweep's one int64 decision at radius R."""
-    return varanalysis._fits_int64(f, centered, R, varanalysis.sweep_points(f, R))
+    masses, _ = f.integer_masses()
+    return varanalysis._fits_int64(f, masses, centered, R, varanalysis.sweep_points(f, R))
 
 
 class TestTruncatedVariation:
@@ -382,8 +383,8 @@ class TestRunBoundaryReduction:
         # 2^63: refused there, accepted one point fewer
         delta = GridFunction.delta((0, 0))
         centered = BallSpec(geometry, 2).centered
-        assert varanalysis._fits_int64(delta, centered, 5, 2**61 - 1)
-        assert not varanalysis._fits_int64(delta, centered, 5, 2**61)
+        assert varanalysis._fits_int64(delta, [1], centered, 5, 2**61 - 1)
+        assert not varanalysis._fits_int64(delta, [1], centered, 5, 2**61)
 
     def test_object_arrays_beyond_2_63(self):
         rng = random.Random(5)
@@ -491,7 +492,7 @@ class TestTournament:
     def test_single_point_chunks_leave_the_cube_masses_intact(self):
         # the cube masses are shared by every chunk of a sweep
         f = _eight_point(random.Random(3))
-        values, _, scale = varanalysis._vectorised_values(f, False, np.int64)
+        values, _, scale = varanalysis._vectorised_values(f, False, np.int64, f.integer_masses())
         for x, y in [(0, 0), (-6, 2), (0, 0), (5, -1)]:
             num, den = values([np.array([[x]]), np.array([[y]])])
             got = Q(int(num[0, 0]), scale * int(den[0, 0]))
@@ -527,7 +528,7 @@ class TestCubeCount:
         )
         def check(f, n):
             masses, _ = f.integer_masses()
-            values = varanalysis._vectorised_values(f, False, dtype)[0]
+            values = varanalysis._vectorised_values(f, False, dtype, f.integer_masses())[0]
             stacks.clear()
             values([np.array([[c]]) for c in n])
             assert stacks[0].dtype == np.dtype(dtype)
@@ -619,7 +620,7 @@ class TestChunkBudget:
         spec = BallSpec("cube", d)
         assert _fits(f, False, R) == (scale == 1)
         want = varanalysis._sweep(
-            *varanalysis._exact_values(f, spec, object), R,
+            *varanalysis._exact_values(f, spec, object, f.integer_masses()), R,
             [list(chain(*parts)) for parts in varanalysis._stops(f, R)],
         )
         var, arrays, sizes = self._recorded(f, spec, R, monkeypatch)
@@ -658,7 +659,7 @@ class TestChunkBudget:
         R = f.support_radius() + 3
         width = len(maxop.hull_closures(f.support, tuple(f.integer_masses()[0])))
         want = varanalysis._sweep(
-            *varanalysis._exact_values(f, spec, object), R,
+            *varanalysis._exact_values(f, spec, object, f.integer_masses()), R,
             [list(chain(*parts)) for parts in varanalysis._stops(f, R)],
         )
         monkeypatch.setattr(varanalysis, "_exact_values", _no_exact_values)
@@ -703,7 +704,7 @@ class TestChunkBudget:
         f = _eight_point(random.Random(geometry))
         spec = BallSpec(geometry, 2)
         want = truncated_variation_maxfn(f, spec, 12)
-        width = varanalysis._vectorised_values(f, spec.centered, np.int64)[1]
+        width = varanalysis._vectorised_values(f, spec.centered, np.int64, f.integer_masses())[1]
         monkeypatch.setattr(varanalysis, "_CHUNK_CELLS", 2 * width)
         blocks = []
         reduce = varanalysis._add_run_boundaries
@@ -785,8 +786,8 @@ class TestSweepPoints:
     def test_exact_evaluator_calls_the_core_once_per_distinct_point(self, monkeypatch):
         # support box [-1, 1]^3 at R = 4: each axis stops at {-4, -1, 0, 1, 4},
         # so the sweep meets 9^3 - 4^3 distinct points of its 1,215 stops;
-        # the masses are normalised twice per sweep, for its int64 check and
-        # for the core, not once per point
+        # the masses are normalised once per sweep, for its int64 check and
+        # the core alike, not once per point
         f = GridFunction(3, {(-1, -1, -1): 1, (1, 0, 1): Q(2, 3), (0, 1, 0): 3})
         spec = BallSpec("l1", 3)
         calls, normalised = [], []
@@ -807,9 +808,20 @@ class TestSweepPoints:
         var = truncated_variation_maxfn(f, spec, 4)
         assert varanalysis.sweep_points(f, 4) == 1215
         assert len(calls) == len(set(calls)) == 9**3 - 4**3
-        assert normalised == [f, f]
+        assert normalised == [f]
         monkeypatch.undo()
         assert var == _box_reference(f, spec, 4)
+
+    @pytest.mark.parametrize("geometry", ["l1", "cube"])
+    def test_a_sweep_forms_its_stops_once(self, geometry, monkeypatch):
+        # the width check counts its points from the stops the sweep walks
+        calls, stops = [], varanalysis._stops
+        monkeypatch.setattr(varanalysis, "_stops", lambda f, R: calls.append(R) or stops(f, R))
+        f = GridFunction(2, {(0, 0): 1, (2, 1): Q(3, 2)})
+        var = truncated_variation_maxfn(f, BallSpec(geometry, 2), 4)
+        assert calls == [4]
+        monkeypatch.undo()
+        assert var == _box_reference(f, BallSpec(geometry, 2), 4)
 
     def test_zero_function_and_small_radius(self):
         assert varanalysis.sweep_points(GridFunction.zero(2), 5) == 0
@@ -837,7 +849,7 @@ class TestExactValues:
             # int64 pairs where the sweep's bound holds, Python ints past it
             for g, dtype in [(f, np.int64), (f.scale(10**19), object)]:
                 assert _fits(g, spec.centered, reach) == (dtype is np.int64)
-                values, width, scale = varanalysis._exact_values(g, spec, dtype)
+                values, width, scale = varanalysis._exact_values(g, spec, dtype, g.integer_masses())
                 num, den = values(grid)
                 assert width == 1 and num.dtype == den.dtype == np.dtype(dtype)
                 for idx in np.ndindex(num.shape):
@@ -860,9 +872,9 @@ class TestExactInt64Path:
         widths, dtypes = [], []
         exact, reduce = varanalysis._exact_values, varanalysis._add_run_boundaries
 
-        def recording_exact(f, spec, dtype):
+        def recording_exact(f, spec, dtype, normalised):
             widths.append(np.dtype(dtype))
-            return exact(f, spec, dtype)
+            return exact(f, spec, dtype, normalised)
 
         def recording_reduce(num, den, *running):
             dtypes.extend((num.dtype, den.dtype))
