@@ -42,6 +42,13 @@ beta_i; at d <= 2, Q = 0 and nothing is summed.  So Ct(d) = r_0 +
 sum_{j>=2} q_j zeta(j) (Edwards, *Riemann's Zeta Function*, 1974).
 `_uncentered_parts` proves the split by recombining it into num/den as
 integer polynomials, and raises if that fails or alpha_1 + beta_1 != 0.
+The root of the sum over k has denominator lcm(1..K)^m, but `tree_sum`
+joins neighbouring pairs over the lcm of their denominators: in k order
+consecutive k share almost no prime, so its integer levels carry
+denominators near the products of neighbouring k^m.  The pairs go in
+shared-prime order instead (`_shared_prime_order`: k stably sorted by
+largest prime factor), where siblings share their large primes and each
+level's lcm stays near the lcm of its own k^m.
 
 Enclosures add a certified tail bound: we certify a majorant
 
@@ -129,9 +136,20 @@ def _partial_sum(d: int, K: int, kind: str) -> Fraction:
         lower = r0 + Fraction(_peval(B, K + 1), (K + 1) ** (d - 1))
         if not Q:
             return lower
-        return lower + tree_sum(zip(_pvalues(Q, K), _pvalues((0,) * (d - 1) + (1,), K)))
+        values = list(_pvalues(Q, K))
+        return lower + tree_sum((values[k - 1], k ** (d - 1)) for k in _shared_prime_order(K))
     num, den = _term_polynomials(d, kind)
     return 2 * d + tree_sum(zip(_pvalues(num, K), _pvalues(den, K)))
+
+
+def _shared_prime_order(K: int) -> list[int]:
+    """1..K stably sorted by largest prime factor (1 first), from one sieve:
+    each prime p overwrites its multiples, so the largest one stays."""
+    top = list(range(K + 1))
+    for p in range(2, K // 2 + 1):
+        if top[p] == p:
+            top[2 * p::p] = [p] * (K // p - 1)
+    return sorted(range(1, K + 1), key=top.__getitem__)
 
 
 # ---------------------------------------------------------------------------

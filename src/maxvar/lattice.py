@@ -36,6 +36,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, product
 from math import comb, prod
+from operator import index
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -57,13 +58,16 @@ class EnumerationCapExceeded(RuntimeError):
 
 @lru_cache(maxsize=2**12)
 def l1_ball_count(d: int, k):
-    """Number of lattice points p in Z^d with |p|_1 <= k, cached for an int
-    k; `l1_ball_count.__wrapped__` takes an int64 or object array of radii,
+    """Number of lattice points p in Z^d with |p|_1 <= k, cached for an
+    integer k, which a numpy integer scalar also is (`operator.index`);
+    `l1_ball_count.__wrapped__` takes an int64 or object array of radii,
     unchecked, and is exact while d^2 N(d, max k) fits its dtype."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if isinstance(k, int) and k < 0:
-        raise ValueError(f"radius must be >= 0, got {k}")
+    if not isinstance(k, np.ndarray):
+        k = index(k)
+        if k < 0:
+            raise ValueError(f"radius must be >= 0, got {k}")
     # term_i = 2^i C(d, i) C(k, i) vanishes from i = k + 1 on, so an array
     # runs all d steps; each division is exact, since term_i 2 (d - i) (k - i)
     # = term_{i+1} (i + 1)^2, which stays below d^2 N(d, k)
@@ -249,13 +253,13 @@ def admissible_boxes_through(
 
 def cube_count(extents):
     """prod_i max(e_i, M - 1), M = max(e): the least point count of an
-    admissible box around a hull of extents e, d ints or d int64 or object
-    arrays that broadcast together (e[0] itself at d = 1).  It is the largest
-    of prod(e) and e_j (e_j - 1)^|T| prod_{i not in T, i != j} e_i over axes j
-    and nonempty sets T of other axes, the one with e_j = M and T = {i : e_i <
-    M - 1} equal to it.  At d = 2 they are ab, a(a - 1) and b(b - 1): only ab
+    admissible box around a hull of extents e, d integers (`operator.index`)
+    or d int64 or object arrays that broadcast together (e[0] itself at
+    d = 1).  It is the largest of prod(e) and e_j (e_j - 1)^|T| prod_{i not
+    in T, i != j} e_i over axes j and nonempty sets T of other axes, the one
+    with e_j = M and T = {i : e_i < M - 1} equal to it.  At d = 2 they are ab, a(a - 1) and b(b - 1): only ab
     takes the full broadcast shape, and an array count is updated in place."""
-    e = extents
+    e = extents if isinstance(extents[0], np.ndarray) else [index(x) for x in extents]
     count = prod(e[1:], start=e[0])
     for j, k, kept in _cube_products(len(e)):
         term = prod([e[j] - 1] * k + [e[i] for i in kept], start=e[j])

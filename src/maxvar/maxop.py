@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, product
 from math import prod
-from operator import sub
+from operator import index, sub
 from typing import Callable, Iterator
 
 from . import lattice
@@ -334,7 +334,7 @@ def delta_uncentered_cube_closed_form(p: LatticePoint, n: LatticePoint) -> Fract
 
 def maximal_witness(f: GridFunction, spec: BallSpec, n: LatticePoint | int) -> ArgmaxWitness:
     core, scale = integer_core(f, spec)
-    n = (n,) if isinstance(n, int) else tuple(n)
+    n = tuple(map(index, n)) if hasattr(n, "__iter__") else (index(n),)
     if len(n) != f.dim:
         raise ValueError("point dimension does not match function dimension")
     mass, count, *region = core(n)

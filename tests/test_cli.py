@@ -701,6 +701,12 @@ class TestGoldenOutputs:
             ("uncentered", 6,
              "1ababdbee4509395ceb7b342dac8636c08882e9aebd5cd60d227eb5a27a6b427",
              "601efb63d187dad4db96f9bb84f249f15b5852d7b9673ba80be78d0af1ca8898"),
+            ("uncentered", 7,
+             "acc2b14b9df621327f19ecc87fa68bf1717fcd49ebe3b1775f03df3a477689c6",
+             "49803cbb320e139988c7dec6bed0b37640d2b6c75d77e98fd45740e3e2e7a18b"),
+            ("uncentered", 8,
+             "2af9672b4b4a771296cb214275121acef5eeb0713fb128b04c7f20b6680afce5",
+             "9774db26474f806dba9e9e848b7a82c14e3ca742ffbb54c389d92c7d4bdf16c8"),
         ],
     )
     def test_constant_digests(self, kind, dim, stdout_digest, stderr_digest):

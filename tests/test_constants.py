@@ -164,6 +164,10 @@ class TestUncenteredPartialFractions:
         for k in {0, 1, 2, d - 1, d, d + 1, 60, K}:
             assert _partial_sum(d, k, "uncentered") == _term_polynomial_sum(d, k), k
 
+    @pytest.mark.parametrize("K", [0, 1, 2, 97, 1024, 3100])
+    def test_shared_prime_order_is_a_permutation(self, K):
+        assert sorted(constants._shared_prime_order(K)) == list(range(1, K + 1))
+
     def test_d2_sums_no_term(self, monkeypatch):
         monkeypatch.setattr(constants, "tree_sum", None)
         enc = constant_enclosure(2, 10**12, "uncentered")

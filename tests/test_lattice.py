@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -161,6 +161,37 @@ class TestSharedCounts:
                 got = cube_count([np.array(axis, dtype=dtype) for axis in zip(*extents)])
                 assert got.tolist() == sides
 
+
+class TestNumpyIntegerScalars:
+    """A numpy integer scalar is an integer at the count and kernel entry
+    points, not an array: it is range-checked, counted exactly, and never
+    leaves a wrapped int64 in the count's cache."""
+
+    def test_a_negative_radius_is_refused(self):
+        with pytest.raises(ValueError, match="radius"):
+            l1_ball_count(2, np.int64(-1))
+
+    def test_counts_past_int64_are_exact_and_cached_exact(self):
+        k = 2_000_000
+        want = sum(2**i * comb(3, i) * comb(k, i) for i in range(4))  # about 1.07e19
+        l1_ball_count.cache_clear()
+        g = GridFunction(3, {(0, 0, 0): 1})
+        w = maxop.centered_max_l1(g, tuple(np.array([k, 0, 0])))
+        assert w.value == Fraction(1, want) and type(w.count) is int
+        assert l1_ball_count(3, k) == want
+        assert cube_count([np.int64(3_000_000)] * 3) == 27 * 10**18
+
+    @pytest.mark.parametrize("geometry", ["centered1d", "uncentered1d"])
+    def test_a_scalar_query_point(self, geometry):
+        f = GridFunction(1, {(0,): 1, (3,): 2})
+        w = maxop.maximal_witness(f, maxop.BallSpec(geometry, 1), np.int64(2))
+        assert w == maxop.maximal_witness(f, maxop.BallSpec(geometry, 1), 2)
+        kernel = maxop.centered_max_1d if geometry == "centered1d" else maxop.uncentered_max_1d
+        w = kernel(f, np.int64(2))
+        region = w.region
+        ints = (*region.center, region.radius) if geometry == "centered1d" else (*region.lower, *region.upper)
+        assert w == maxop.maximal_witness(f, maxop.BallSpec(geometry, 1), 2)
+        assert all(type(c) is int for c in (w.count, *ints))
 
 class TestPoints:
     def test_unit_cross_polytope(self):
