@@ -10,36 +10,62 @@ from math import gcd
 from typing import Iterable
 
 
-#: denominator size past which `tree_sum` joins reduced Fractions, not integer pairs
+#: denominator size past which a pair tree joins reduced Fractions, not integer pairs
 _REDUCE_BITS = 1 << 12
 
 
 def tree_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
-    """Exact sum of the rationals n / d given as integer pairs (n, d), d > 0.
+    """Exact sum of the pairs' n / d, d > 0, by `_pair_sum`; Fractions pass `q.as_integer_ratio()`."""
+    return _pair_sum(list(pairs))
 
-    Balanced pairwise reduction: summing thousands of rationals with
-    pairwise-coprime denominators left to right would make every step work
-    against the full accumulated denominator; the tree keeps the operands
-    small until its top.  While a level's denominators (one pair is checked)
-    have at most `_REDUCE_BITS` bits, each node joins its children a/b and
-    c/d on integers over the lcm of their denominators, with g = gcd(b, d),
-    as (a (d/g) + c (b/g)) / (b (d/g)), and takes no numerator gcd.  Above
-    that the nodes become reduced Fractions, whose `+` takes gcds only of
-    the two denominators and of their common factor (Knuth, TAOCP vol. 2,
-    4.5.1), never one at the root's full size.  Callers holding Fractions
-    pass `q.as_integer_ratio()`.
+
+class PairTree:
+    """`_pair_sum` over prefixes of a growing list of denominators, its joins
+    kept: node j of level l covers leaves [j 2^l, (j+1) 2^l) in every prefix
+    holding them all, so a sum takes gcds only at nodes no earlier sum formed
+    and at the one node per level that its length cuts short."""
+
+    def __init__(self, leaves: Iterable[int] = ()) -> None:
+        self.leaves = list(leaves)  # extended, never changed: the records hold joins of its start
+        self._levels: list[list[tuple[int, int, int]]] = []  # per level: its joins' (u, v, b u)
+
+    def sum(self, nums: list[int], scale: int = 1) -> Fraction:
+        """Exact sum of nums[k] / (scale d_k) over the first len(nums) leaves d_k."""
+        if len(nums) > len(self.leaves):
+            raise ValueError(f"{len(nums)} numerators for {len(self.leaves)} leaves")
+        self._levels += [[] for _ in range(len(self._levels), len(nums).bit_length())]
+        return _pair_sum(list(zip(nums, self.leaves)), self._levels, scale)
+
+
+def _pair_sum(items: list[tuple[int, int]], levels=(), scale: int = 1) -> Fraction:
+    """Exact sum of n / (scale d) over the pairs (n, d) by a balanced pair tree.
+
+    Level l + 1 joins nodes 2j and 2j + 1 of level l and carries an odd last
+    one up, so operands stay small until the top.  While node 1 of a level
+    has at most `_REDUCE_BITS` bits, a/b and c/d join over their lcm as
+    (a u + c v) / (b u), with g = gcd(b, d), u = d/g, v = b/g, and no
+    numerator gcd; above it the nodes are reduced Fractions, whose `+` never
+    takes a gcd at the root's full size (Knuth, TAOCP vol. 2, 4.5.1).  Given
+    `levels`, the (u, v, b u) of each join of two complete nodes are read
+    from the level's records if there, and recorded if not.
     """
-    items = list(pairs)
+    n, level, h, nxt, keep = len(items), 0, 0, [], False
     while len(items) > 1 and items[1][1].bit_length() <= _REDUCE_BITS:
-        nxt = []
-        for (a, b), (c, d) in zip(items[::2], items[1::2]):
+        if levels:
+            joins = levels[level]
+            k = n >> level + 1  # joins of two complete nodes, the first h of them replayed
+            h, keep = min(len(joins), k), len(joins) < k  # keep: record the rest
+            nxt = [(a * u + c * v, D) for (a, _), (c, _), (u, v, D) in zip(items[::2], items[1::2], joins[:h])]
+        for (a, b), (c, d) in zip(items[2 * h :: 2], items[2 * h + 1 :: 2]):
             g = gcd(b, d)
-            d //= g
-            nxt.append((a * d + c * (b // g), b * d))
+            u, v = d // g, b // g
+            nxt.append((a * u + c * v, D := b * u))
+            if keep and len(joins) < k:
+                joins.append((u, v, D))
         if len(items) % 2:
             nxt.append(items[-1])
-        items = nxt
-    parts = [Fraction(n, d) for n, d in items]
+        items, nxt, level = nxt, [], level + 1
+    parts = [Fraction(a, b * scale) for a, b in items]
     while len(parts) > 1:
         parts = [p + q for p, q in zip(parts[::2], parts[1::2])] + parts[len(parts) & ~1:]
     return parts[0] if parts else Fraction(0)

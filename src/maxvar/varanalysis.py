@@ -50,8 +50,10 @@ of v(t+1) - v(t) found by cross-multiplication, so only local extrema and
 line ends contribute.  Per chunk, the nonzero terms join one running pair
 of arrays (denominators, totals), and one stable sort and one
 `np.add.reduceat` total them per denominator again, so no chunk's terms
-outlive it; at the end one integer pair (total, scale * den) per distinct
-denominator reaches `exact.tree_sum`, the lcm pair tree, once per sweep.
+outlive it.  A centered sweep at d >= 2 places each total at its k in
+N(d, 0), N(d, 1), ... by `np.searchsorted` (a denominator that is no ball
+count raises) and sums them in `_count_tree`'s `exact.PairTree`, which
+replays earlier sweeps' joins; others give (total, scale * den) to `tree_sum`.
 
 One integer width serves the whole sweep, decided by `_fits_int64` before
 either evaluator is built: int64 where every integer provably stays below
@@ -97,7 +99,7 @@ from itertools import chain, product
 import numpy as np
 
 from . import constants, lattice, maxop
-from .exact import tree_sum
+from .exact import PairTree, tree_sum
 from .gridfn import GridFunction
 from .maxop import BallSpec
 
@@ -108,6 +110,7 @@ _CHUNK_CELLS = 2**16
 _L1_GRID_POINTS = 72
 #: N(d, k) for arrays of radii, which the cache of `lattice.l1_ball_count` cannot hash
 _ball_counts = lattice.l1_ball_count.__wrapped__
+_count_trees: dict[int, tuple[PairTree, np.ndarray]] = {}  # d -> what `_count_tree` keeps
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +132,10 @@ def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fracti
     normalised = f.integer_masses()  # one normalisation for the width and the evaluator
     dtype = np.int64 if _fits_int64(f, normalised[0], spec.centered, R, _points(stops, R)) else object
     lines = [list(chain(*parts)) for parts in stops]
+    counts = _count_tree(f.dim, f.dim * (R + f.support_radius())) if spec.centered and f.dim > 1 else None
     if spec.centered and (f.dim != 2 or len(f.support) > _L1_GRID_POINTS):
-        return _sweep(*_exact_values(f, spec, dtype, normalised), R, lines)
-    return _sweep(*_vectorised_values(f, spec.centered, dtype, normalised), R, lines)
+        return _sweep(*_exact_values(f, spec, dtype, normalised), R, lines, counts)
+    return _sweep(*_vectorised_values(f, counts, dtype, normalised), R, lines, counts)
 
 
 def sweep_points(f: GridFunction, R: int) -> int:
@@ -172,7 +176,19 @@ def _fits_int64(f: GridFunction, masses: list[int], centered: bool, R: int, poin
     return sum(masses) * max(max_den, 2 * points) < 2**62 and max_den * d * d < 2**63
 
 
-def _sweep(values, width: int, scale: int, R: int, stops: list[list[int]]) -> Fraction:
+def _count_tree(d: int, kmax: int) -> tuple[PairTree, np.ndarray]:
+    """N(d, 0..K) for a K >= kmax, as the dimension's kept pair tree and as an
+    array, int64 while d^2 N(d, K) fits (`_ball_counts` is exact there)."""
+    tree, table = _count_trees.get(d) or (PairTree(), np.zeros(0, dtype=np.int64))
+    if len(table) <= kmax:
+        dtype = np.int64 if d * d * lattice.l1_ball_count(d, kmax) < 2**63 else object
+        table = np.concatenate((table, _ball_counts(d, np.arange(len(table), kmax + 1, dtype=dtype))))
+        tree.leaves += table[len(tree.leaves) :].tolist()
+        _count_trees[d] = tree, table
+    return tree, table
+
+
+def _sweep(values, width: int, scale: int, R: int, stops: list[list[int]], counts=None) -> Fraction:
     """Line sweep reduced exactly per denominator.
 
     The lines of each axis are evaluated in chunks, one row per stop of a
@@ -181,7 +197,7 @@ def _sweep(values, width: int, scale: int, R: int, stops: list[list[int]]) -> Fr
     coordinate arrays of a chunk, which broadcast to (stops, lines), to
     integer arrays (num, den) with Mf = num / (scale * den).  `width` is
     the number of array cells the evaluator forms per point, which sizes
-    the blocks and chunks.
+    the blocks and chunks.  `counts` is `_count_tree(d, k)` for centered d >= 2.
     """
     d = len(stops)
     lines = (2 * R + 1) ** (d - 1)
@@ -197,7 +213,14 @@ def _sweep(values, width: int, scale: int, R: int, stops: list[list[int]]) -> Fr
                 coords = [c[None, l0 : l0 + batch] for c in rests]
                 coords.insert(axis, t)
                 dens, totals = _add_run_boundaries(*values(coords), dens, totals)
-    return tree_sum((n, dd * scale) for n, dd in zip(totals.tolist(), dens.tolist()) if n)
+    if counts is None:
+        return tree_sum((n, dd * scale) for n, dd in zip(totals.tolist(), dens.tolist()) if n)
+    ks = np.searchsorted(counts[1], dens)
+    if not np.array_equal(counts[1].take(ks, mode="clip"), dens):
+        raise ArithmeticError("a centered sweep reached a denominator that is not an l1 ball count")
+    nums = np.zeros(ks[-1] + 1 if ks.size else 0, dtype=totals.dtype)
+    nums[ks] = totals
+    return counts[0].sum(nums.tolist(), scale)
 
 
 def _add_run_boundaries(num, den, dens, totals):
@@ -237,9 +260,9 @@ def _exact_values(f: GridFunction, spec: BallSpec, dtype, normalised: tuple[list
 
 # -- vectorised evaluator ----------------------------------------------------
 
-def _vectorised_values(f: GridFunction, centered: bool, dtype, normalised: tuple[list[int], int]):
-    """Evaluator of integer values (l1 at d = 2, cube at any d), with its
-    width and scale, from f's `integer_masses()`.
+def _vectorised_values(f: GridFunction, counts, dtype, normalised: tuple[list[int], int]):
+    """Evaluator of integer values (l1 at d = 2, given `counts` to the largest
+    distance, cube at any d, given None), with its width and scale.
 
     The candidates at the points of a chunk are (num, den) arrays of `dtype`
     (int64, or object for Python ints) stacked along a leading axis, num
@@ -248,9 +271,9 @@ def _vectorised_values(f: GridFunction, centered: bool, dtype, normalised: tuple
     cells per point.  Columns are formed once per sweep.
     """
     masses, scale = normalised
-    if centered:
+    if counts is not None:
         px, py = np.array(f.support, dtype=np.int64).T[:, :, None, None]
-        candidates = partial(_l1_candidates_2d, px, py, np.array(masses, dtype=dtype))
+        candidates = partial(_l1_candidates_2d, px, py, np.array(masses, dtype=dtype), counts[1])
         width = len(masses) ** 2
     else:
         d = f.dim
@@ -286,10 +309,10 @@ def _best(num, den):
     return np.broadcast_to(num[0], den[0].shape), den[0]
 
 
-def _l1_candidates_2d(px, py, masses, x, y):
+def _l1_candidates_2d(px, py, masses, counts, x, y):
     """Per support point p, stacked: the mass within k = |(x, y) - p|_1 of
-    (x, y) over N(2, k), the radii `maxop.centered_max_l1` scans, both in
-    the dtype of `masses`."""
+    (x, y) over N(2, k) = counts[k], the radii `maxop.centered_max_l1`
+    scans, both in the dtype of `masses`."""
     dist = np.abs(x - px) + np.abs(y - py)
     # within[j, i]: support point i lies within distance dist[j]
     within = dist[None] <= dist[:, None]
@@ -297,7 +320,7 @@ def _l1_candidates_2d(px, py, masses, x, y):
         mass = (within * masses[:, None, None]).sum(axis=1)
     else:
         mass = np.einsum("ji...,i->j...", within, masses)
-    return mass, _ball_counts(2, dist.astype(masses.dtype, copy=False))
+    return mass, counts[dist].astype(masses.dtype, copy=False)
 
 
 def _cube_candidates(mass, lower, upper, *coords):

@@ -2,14 +2,15 @@ import random
 import sys
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxvar import exact
-from maxvar.exact import decimal_str, format_rational, parse_rational, tree_sum
+from maxvar.exact import PairTree, decimal_str, format_rational, parse_rational, tree_sum
+from maxvar.lattice import ShellTable
 
 Q = Fraction
 
@@ -56,6 +57,8 @@ class TestTreeSum:
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(st.lists(pairs, max_size=40))
+    @example([(k - 8, 3 * k + 1) for k in range(15)])  # 2^4 - 1 terms: a cut node on every level
+    @example([(k - 8, 3 * k + 1) for k in range(17)])  # 2^4 + 1: one leaf carried to the root
     def test_equals_the_builtin_sum(self, ps):
         q = tree_sum(ps)
         assert q == _reference(ps)
@@ -66,6 +69,8 @@ class TestTreeSum:
     @example([(-5, BIG + 1)])  # a single pair past the switch
     @example([(0, BIG + 3), (7, BIG * 3 + 1), (-(BIG + 5), BIG * 5 + 3)])  # odd count
     @example([(1, 3), (-2, BIG + 1), (0, 5), (BIG, BIG * 7 + 1), (4, BIG * 9 + 1)])
+    @example([(k - 4, 2 * k + 1) for k in range(8)] + [(-3, BIG * 3 + 1)])  # a cut node past it
+    @example([(k - 4, BIG * (2 * k + 1) + 1) for k in range(9)])  # 2^3 + 1 leaves past it
     def test_both_sides_of_the_switch(self, ps):
         q = tree_sum(ps)
         assert q == _reference(ps) and type(q) is Fraction
@@ -92,6 +97,62 @@ class TestTreeSum:
     )
     def test_small_shared_denominators(self, ps):
         assert tree_sum(ps) == _reference(ps)
+
+
+def _prefix_lengths(top):
+    """1, 2, 3 and 2^l - 1, 2^l, 2^l + 1 up to top, increasing."""
+    lengths = {1, 2, 3} | {2**l + e for l in range(2, top.bit_length()) for e in (-1, 0, 1)}
+    return sorted(n for n in lengths if n <= top)
+
+
+class TestPairTree:
+    """Sums over prefixes of one growing tree against `tree_sum` of the
+    same pairs, with the tree's records made by earlier, longer or shorter,
+    prefixes."""
+
+    @pytest.mark.parametrize(
+        "leaves",
+        [
+            ShellTable.build(2, 3000).counts,
+            ShellTable.build(6, 3000).counts,
+            # every seventh leaf past the switch, from leaf 6 on: level 2 is reduced
+            [c * (BIG + k) if k % 7 == 6 else c for k, c in enumerate(ShellTable.build(2, 600).counts)],
+        ],
+        ids=["d2", "d6", "mixed"],
+    )
+    def test_prefixes_grow_then_shrink_in_one_tree(self, leaves):
+        # short prefixes stay integer pairs up to their root, long ones pass the switch
+        assert lcm(*leaves[:3]).bit_length() <= exact._REDUCE_BITS < lcm(*leaves).bit_length()
+        rng = random.Random(len(leaves))
+        lengths = _prefix_lengths(len(leaves))
+        tree = PairTree(leaves[:2])
+        for n in lengths + lengths[::-1]:
+            if len(tree.leaves) < n:  # grown unevenly, past the next prefix
+                tree.leaves.extend(leaves[len(tree.leaves) : n + rng.randrange(9)])
+            nums = [rng.choice([0, rng.randint(-(2**40), 2**40)]) for _ in range(n)]
+            scale = rng.choice([1, 6, 10**20])
+            got = tree.sum(nums, scale)
+            assert got == tree_sum(zip(nums, (c * scale for c in leaves[:n]))) and type(got) is Fraction
+
+    def test_a_repeated_prefix_takes_gcds_only_where_it_is_cut(self, monkeypatch):
+        leaves = ShellTable.build(2, 1000).counts
+        tree = PairTree(leaves)
+        calls = []
+        monkeypatch.setattr(exact, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+        rng = random.Random(1000)
+        for n, fresh in [(1001, range(500, 1001)), (1001, range(11)), (512, [0]), (700, range(11))]:
+            # the first sum joins every node, later ones at most one cut node per level
+            nums = [rng.randint(-9, 9) for _ in range(n)]
+            want = tree_sum(zip(nums, leaves))
+            calls.clear()
+            assert tree.sum(nums) == want and len(calls) in fresh
+
+    def test_empty_and_single_leaf_prefixes(self):
+        tree = PairTree([5, 7])
+        assert tree.sum([]) == 0 and type(tree.sum([])) is Fraction
+        assert tree.sum([-10], 4) == Q(-1, 2)
+        with pytest.raises(ValueError):
+            tree.sum([1, 2, 3])
 
 
 @pytest.fixture

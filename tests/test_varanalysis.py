@@ -272,6 +272,33 @@ class TestSweepMatchesReference:
         assert peak < 4 * 2**20
         assert var >= truncated_variation_maxfn(f, BallSpec(geometry, 1), 14)
 
+    @pytest.mark.parametrize("d, radius, max_size", [(2, 3, 6), (3, 1, 4)])
+    @pytest.mark.parametrize("limit", [varanalysis._L1_GRID_POINTS, 0], ids=["vectorised", "exact"])
+    @pytest.mark.parametrize("scale", [1, 10**19], ids=["int64", "object"])
+    def test_centered_sums_do_not_depend_on_the_count_tree(
+        self, d, radius, max_size, limit, scale, monkeypatch
+    ):
+        # the same Fraction from a fresh pair tree of ball counts, from one
+        # grown past the sweep's largest radius by earlier sweeps, and from
+        # that one with its counts as Python ints, as past 2^63
+        monkeypatch.setattr(varanalysis, "_L1_GRID_POINTS", limit)  # 0: every input is exact
+        spec = BallSpec("l1", d)
+
+        @settings(SWEEP, max_examples=6 if d == 2 else 3)
+        @given(_functions(d, radius, 1, max_size), st.integers(0, 9), st.integers(1, 300))
+        def check(f, extra, past):
+            f = f.scale(scale)
+            R = f.support_radius() + extra
+            assert _fits(f, True, R) == (scale == 1)
+            monkeypatch.setattr(varanalysis, "_count_trees", {})
+            fresh = truncated_variation_maxfn(f, spec, R)
+            tree, table = varanalysis._count_tree(d, d * (R + f.support_radius()) + past)
+            assert truncated_variation_maxfn(f, spec, R) == fresh == _box_reference(f, spec, R)
+            varanalysis._count_trees[d] = tree, table.astype(object)
+            assert truncated_variation_maxfn(f, spec, R) == fresh
+
+        check()
+
     @pytest.mark.parametrize(
         "geometry, d, radius, max_size, scale",
         [
@@ -492,7 +519,7 @@ class TestTournament:
     def test_single_point_chunks_leave_the_cube_masses_intact(self):
         # the cube masses are shared by every chunk of a sweep
         f = _eight_point(random.Random(3))
-        values, _, scale = varanalysis._vectorised_values(f, False, np.int64, f.integer_masses())
+        values, _, scale = varanalysis._vectorised_values(f, None, np.int64, f.integer_masses())
         for x, y in [(0, 0), (-6, 2), (0, 0), (5, -1)]:
             num, den = values([np.array([[x]]), np.array([[y]])])
             got = Q(int(num[0, 0]), scale * int(den[0, 0]))
@@ -528,7 +555,7 @@ class TestCubeCount:
         )
         def check(f, n):
             masses, _ = f.integer_masses()
-            values = varanalysis._vectorised_values(f, False, dtype, f.integer_masses())[0]
+            values = varanalysis._vectorised_values(f, None, dtype, f.integer_masses())[0]
             stacks.clear()
             values([np.array([[c]]) for c in n])
             assert stacks[0].dtype == np.dtype(dtype)
@@ -704,7 +731,8 @@ class TestChunkBudget:
         f = _eight_point(random.Random(geometry))
         spec = BallSpec(geometry, 2)
         want = truncated_variation_maxfn(f, spec, 12)
-        width = varanalysis._vectorised_values(f, spec.centered, np.int64, f.integer_masses())[1]
+        counts = varanalysis._count_tree(2, 2 * (12 + f.support_radius())) if spec.centered else None
+        width = varanalysis._vectorised_values(f, counts, np.int64, f.integer_masses())[1]
         monkeypatch.setattr(varanalysis, "_CHUNK_CELLS", 2 * width)
         blocks = []
         reduce = varanalysis._add_run_boundaries
@@ -736,8 +764,8 @@ class TestChunkIndependence:
 
     @pytest.mark.parametrize(
         "geometry, d, radius",
-        [("cube", 1, 6), ("cube", 2, 3), ("cube", 3, 1), ("l1", 2, 3)],
-        ids=["1-6", "2-3", "3-1", "l1-2-3"],
+        [("cube", 1, 6), ("cube", 2, 3), ("cube", 3, 1), ("l1", 2, 3), ("l1", 3, 1)],
+        ids=["1-6", "2-3", "3-1", "l1-2-3", "l1-3-1"],
     )
     def test_object_arrays_do_not_depend_on_chunk_cells(self, geometry, d, radius, monkeypatch):
         self._check(BallSpec(geometry, d), radius, 10**19, monkeypatch)
@@ -757,10 +785,50 @@ class TestChunkIndependence:
             values = set()
             for cells in budgets:
                 monkeypatch.setattr(varanalysis, "_CHUNK_CELLS", cells)
+                # a fresh count tree for every other budget; the others reuse it grown
+                if cells % 2:
+                    monkeypatch.setattr(varanalysis, "_count_trees", {})
                 values.add(truncated_variation_maxfn(f, spec, R))
             assert len(values) == 1
 
         check()
+
+
+class TestCountTree:
+    """The per-dimension pair tree of ball counts that totals the centered
+    sweeps at d >= 2."""
+
+    @pytest.mark.parametrize("d, kmax", [(2, 40), (3, 25), (30, 24)])
+    def test_holds_the_ball_counts_and_only_grows(self, d, kmax, monkeypatch):
+        monkeypatch.setattr(varanalysis, "_count_trees", {})
+        top = 0
+        for k in (kmax // 2, kmax, 3, kmax + 1):
+            tree, table = varanalysis._count_tree(d, k)
+            top = max(top, k)
+            assert len(tree.leaves) == len(table) == top + 1
+            assert table.tolist() == [l1_ball_count(d, i) for i in range(len(table))]
+            assert table.dtype == np.dtype(np.int64 if d * d * table[-1] < 2**63 else object)
+        assert varanalysis._count_tree(d, 0)[0] is tree
+        assert (d, table.dtype) != (30, np.dtype(np.int64))  # 900 N(30, 25) passes 2^63
+
+    @pytest.mark.parametrize(
+        "d, limit", [(2, varanalysis._L1_GRID_POINTS), (2, 0), (3, 72)], ids=["2-vectorised", "2-exact", "3"]
+    )
+    @pytest.mark.parametrize("scale", [1, 10**19], ids=["int64", "object"])
+    def test_a_denominator_that_is_no_ball_count_raises(self, d, limit, scale, monkeypatch):
+        # an evaluator returning den + 1 is refused by a raise, which
+        # python -O keeps, not by an assert
+        f = GridFunction(d, {(0,) * d: Q(1), (2,) + (1,) * (d - 1): Q(-2, 3)}).scale(scale)
+        monkeypatch.setattr(varanalysis, "_L1_GRID_POINTS", limit)
+        for name in ("_exact_values", "_vectorised_values"):
+
+            def off_by_one(*args, evaluator=getattr(varanalysis, name)):
+                values, width, scale = evaluator(*args)
+                return (lambda coords: (lambda num, den: (num, den + 1))(*values(coords))), width, scale
+
+            monkeypatch.setattr(varanalysis, name, off_by_one)
+        with pytest.raises(ArithmeticError, match="not an l1 ball count"):
+            truncated_variation_maxfn(f, BallSpec("l1", d), 5)
 
 
 class TestSweepPoints:
