@@ -42,28 +42,48 @@ of a line inside [-R, lo] therefore telescope to Mf(lo) - Mf(-R), those
 inside [hi, R] to Mf(hi) - Mf(R), and the line's exact truncated variation
 is that of its compressed sequence at t in {-R} + [lo..hi] + {R}.
 
+All radii from one sweep.  So at each radius r covering the support, a
+line l whose base b (its other coordinates) has |b|_inf <= r varies by
+A(l) - Mf(l, -r) - Mf(l, r), with A(l) = (its variation on [lo, hi]) +
+Mf(l, lo) + Mf(l, hi) free of r.  For radii r_0 < ... < r_J covering the
+support, call the least j with |b|_inf <= r_j the shell of l; then
+T(r_j) = sum_{s <= j} W_s - P_j, with W_s the variation at r_J plus the
+ends Mf(l, +-r_J) of the lines of shell s, and P_j the ends Mf(l, +-r_j) of
+the lines within r_j.  So one sweep at r_J tags each line's run-boundary
+terms and ends with its shell, and its ends again with P_J's tag; the
+smaller radii's ends are one flat point list per axis, in batches of at
+most `_CHUNK_CELLS` // width points.  Keyed den * 2(J+1) + tag, the totals
+form a table per denominator and tag, summed over the shells per radius.
+With one radius the keys are the denominators and nothing is tagged.
+
+Reach rule.  For radii r < r' covering the support and a line l0 within r,
+T(r') - T(r) >= Mf(l0, -r) - Mf(l0, -r') + Mf(l0, r) - Mf(l0, r'): by the
+identity, the gain sums such end differences over the lines within r and
+the variations of the lines new at r', all >= 0 by the lemma.
+
 One driver, `_sweep`, walks the lines of each axis in chunks and asks an
 evaluator for integer arrays (num, den) with Mf = num / (scale * den).  Each
 line is reduced to its monotone-run boundaries:
 sum_t |v(t+1) - v(t)| = sum_t (s_{t-1} - s_t) v(t), with s_t the exact sign
 of v(t+1) - v(t) found by cross-multiplication, so only local extrema and
 line ends contribute.  Per chunk, the nonzero terms join one running pair
-of arrays (denominators, totals), and one stable sort and one
-`np.add.reduceat` total them per denominator again, so no chunk's terms
-outlive it.  A centered sweep at d >= 2 places each total at its k in
-N(d, 0), N(d, 1), ... by `np.searchsorted` (a denominator that is no ball
-count raises) and sums them in `_count_tree`'s `exact.PairTree`, which
-replays earlier sweeps' joins; others give (total, scale * den) to `tree_sum`.
+of arrays (keys, totals), and one stable sort and one `np.add.reduceat`
+total them per key again, so no chunk's terms outlive it.  A centered
+sweep at d >= 2 places each total at its k in N(d, 0), N(d, 1), ... by
+`np.searchsorted` (a denominator that is no ball count raises) and sums
+them in `_count_tree`'s `exact.PairTree`, which replays earlier sweeps'
+joins; others give (total, scale * den) to `tree_sum`.
 
 One integer width serves the whole sweep, decided by `_fits_int64` before
 either evaluator is built: int64 where every integer provably stays below
 2^63, object arrays of Python ints otherwise.  Let M be the scaled total
 mass and max_den the largest ball or box count in the sweep.  A numerator
-is at most M, a cross-multiplied product at most M max_den, a run-boundary
-term at most 2M.  A sweep evaluates at most 2 points cells (points =
-`sweep_points`), since a line cut into blocks repeats one stop per block,
-so no total or partial sum of totals passes 4M points.  The bound checked,
-M max(max_den, 2 points) < 2^62, keeps all of them below 2^63.
+is at most M, a cross-multiplied product at most M max_den, a term at most
+2M.  A sweep evaluates at most 2 points cells (points = `sweep_points`, plus
+the smaller radii's ends), since a line cut into blocks repeats one stop per
+block, so no total or partial sum of totals passes 4M points.  The bound
+M max(max_den, 2 points) < 2^62 keeps all below 2^63, and so do the keys
+of J + 1 radii with max_den 2(J+1) < 2^63 (M >= 1 gives it at J = 0).
 
 Two evaluators feed the driver, chosen from the input alone, before either
 is built.  The vectorised one forms all candidates of the `maxop` kernels
@@ -81,12 +101,12 @@ is a statement about the values of Mf, not about how they are computed, so
 the compression is exact for both evaluators.
 
 Cost: d (2R+1)^(d-1) lines of at most span + 2 points each (`sweep_points`),
-span being the support's extent along the line's axis, times C candidates
-per point and about 2C int64 products in the tournament; the (2R+1)^d box
-is never formed.  No array of a chunk exceeds max(`_CHUNK_CELLS`, 2C) cells
-summed over the candidate axis: a line longer than that is cut into blocks
-of at least two stops, each sharing its first stop with the previous
-block's last, and the blocks' run-boundary variations add up to the line's.
+span being the support's extent along the line's axis, and 2d (2r+1)^(d-1)
+ends per smaller radius r, times C candidates per point and about 2C int64
+products in the tournament; the (2R+1)^d box is never formed.  No chunk
+array exceeds max(`_CHUNK_CELLS`, 2C) cells summed over the candidate axis:
+longer lines are cut into blocks of at least two stops, each sharing its
+first stop with the previous one's last, whose variations add up to the line's.
 """
 
 from __future__ import annotations
@@ -94,7 +114,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, product
+from itertools import accumulate, chain, product
 
 import numpy as np
 
@@ -124,18 +144,25 @@ def truncated_variation_maxfn(f: GridFunction, spec: BallSpec, R: int) -> Fracti
     the box.  Requires R to cover the support so that the monotone-tail
     compression of the module docstring applies.
     """
+    return _truncated_variations(f, spec, [R])[0]
+
+
+def _truncated_variations(f: GridFunction, spec: BallSpec, radii: list[int]) -> list[Fraction]:
+    """`truncated_variation_maxfn` at each of the increasing `radii`, from one sweep at the last."""
     if spec.dim != f.dim:
         raise ValueError("spec dimension does not match function dimension")
+    R, d = radii[-1], f.dim
     stops = _stops(f, R)
     if not f:
-        return Fraction(0)
+        return [Fraction(0)] * len(radii)
     normalised = f.integer_masses()  # one normalisation for the width and the evaluator
-    dtype = np.int64 if _fits_int64(f, normalised[0], spec.centered, R, _points(stops, R)) else object
+    points = _points(stops, R) + sum(2 * d * (2 * r + 1) ** (d - 1) for r in radii[:-1])
+    dtype = np.int64 if _fits_int64(f, normalised[0], spec.centered, R, points, len(radii)) else object
     lines = [list(chain(*parts)) for parts in stops]
-    counts = _count_tree(f.dim, f.dim * (R + f.support_radius())) if spec.centered and f.dim > 1 else None
-    if spec.centered and (f.dim != 2 or len(f.support) > _L1_GRID_POINTS):
-        return _sweep(*_exact_values(f, spec, dtype, normalised), R, lines, counts)
-    return _sweep(*_vectorised_values(f, counts, dtype, normalised), R, lines, counts)
+    counts = _count_tree(d, d * (R + f.support_radius())) if spec.centered and d > 1 else None
+    if spec.centered and (d != 2 or len(f.support) > _L1_GRID_POINTS):
+        return _sweep(*_exact_values(f, spec, dtype, normalised), radii, lines, counts)
+    return _sweep(*_vectorised_values(f, counts, dtype, normalised), radii, lines, counts)
 
 
 def sweep_points(f: GridFunction, R: int) -> int:
@@ -166,14 +193,14 @@ def _stops(f: GridFunction, R: int) -> list[tuple[range, range, range]]:
     ]
 
 
-def _fits_int64(f: GridFunction, masses: list[int], centered: bool, R: int, points: int) -> bool:
-    """Every integer of a sweep of f's `masses` at `points` points stays exact
-    in int64: the one width check of the module docstring, O(1) at any R.
-    d^2 times the largest count bounds the intermediates of forming one."""
+def _fits_int64(f: GridFunction, masses: list[int], centered: bool, R: int, points: int, radii=1) -> bool:
+    """Every integer of a sweep of f's `masses` at `points` points over
+    `radii` radii stays exact in int64: the one width check of the module
+    docstring, O(1) at any R.  d^2 times the largest count bounds forming one."""
     span, d = f.support_radius(), f.dim
     box = (2 * R + 2 * span + 2) ** d
     max_den = lattice.l1_ball_count(d, d * (R + span) + 2) if centered else box
-    return sum(masses) * max(max_den, 2 * points) < 2**62 and max_den * d * d < 2**63
+    return sum(masses) * max(max_den, 2 * points) < 2**62 and max_den * max(d * d, 2 * radii) < 2**63
 
 
 def _count_tree(d: int, kmax: int) -> tuple[PairTree, np.ndarray]:
@@ -188,8 +215,8 @@ def _count_tree(d: int, kmax: int) -> tuple[PairTree, np.ndarray]:
     return tree, table
 
 
-def _sweep(values, width: int, scale: int, R: int, stops: list[list[int]], counts=None) -> Fraction:
-    """Line sweep reduced exactly per denominator.
+def _sweep(values, width: int, scale: int, radii: list[int], stops: list[list[int]], counts=None) -> list[Fraction]:
+    """Line sweep at the last of the increasing `radii`: the variation at each.
 
     The lines of each axis are evaluated in chunks, one row per stop of a
     block of `block` stops, consecutive blocks sharing one stop, and one
@@ -199,55 +226,94 @@ def _sweep(values, width: int, scale: int, R: int, stops: list[list[int]], count
     the number of array cells the evaluator forms per point, which sizes
     the blocks and chunks.  `counts` is `_count_tree(d, k)` for centered d >= 2.
     """
-    d = len(stops)
+    d, R, J = len(stops), radii[-1], len(radii)
     lines = (2 * R + 1) ** (d - 1)
     # the other d - 1 coordinates of every line of an axis, one column per line
     rests = np.indices((2 * R + 1,) * (d - 1)).reshape(d - 1, lines) - R
-    dens = totals = np.zeros(0, dtype=np.int64)
+    # each line's shell, the first radius its base lies within, for J > 1 radii
+    tags, shells = (2 * J, np.searchsorted(radii, np.abs(rests).max(axis=0, initial=0))) if J > 1 else (1, None)
+    keys = totals = np.zeros(0, dtype=np.int64)
     for axis, ts in enumerate(stops):
         block = max(2, min(len(ts), _CHUNK_CELLS // width))
         batch = max(1, _CHUNK_CELLS // (block * width))
         for b0 in range(0, max(len(ts) - 1, 1), block - 1):
             t = np.array(ts[b0 : b0 + block], dtype=np.int64)[:, None]
+            ends = [0] * (b0 == 0) + [-1] * (b0 + block >= len(ts))  # rows at -R and R
             for l0 in range(0, lines, batch):
                 coords = [c[None, l0 : l0 + batch] for c in rests]
                 coords.insert(axis, t)
-                dens, totals = _add_run_boundaries(*values(coords), dens, totals)
+                tagged = None if shells is None else (tags, shells[None, l0 : l0 + batch], ends)
+                keys, totals = _add_run_boundaries(*values(coords), keys, totals, tagged)
+    # the ends -r, r of the lines within each smaller r, bases formed per batch from a flat index
+    first = list(accumulate(((2 * r + 1) ** (d - 1) for r in radii[:-1]), initial=0))
+    per = max(1, _CHUNK_CELLS // (2 * width))
+    for g0 in range(0, first[-1], per):
+        g = np.arange(g0, min(g0 + per, first[-1]), dtype=np.int64)
+        j = np.searchsorted(first[1:], g, side="right")
+        r, q = np.take(radii, j), g - np.take(first, j)
+        rest = [q // (2 * r + 1) ** i % (2 * r + 1) - r for i in range(d - 1)]
+        for axis in range(d):
+            num, den = values([c[None] for c in rest[:axis]] + [np.stack((-r, r))] + [c[None] for c in rest[axis:]])
+            keys, totals = _merge(keys, totals, (den * tags + (J + j)).ravel(), num.ravel())
+    columns = totals[None]  # per radius, its totals per denominator
+    if J > 1:  # from the table of totals per denominator and tag
+        tag, keys = (keys % tags).astype(np.int64), keys // tags
+        new = np.concatenate(([True], keys[1:] != keys[:-1]))
+        table = np.zeros((new.sum(), tags), dtype=totals.dtype)
+        table[np.cumsum(new) - 1, tag] = totals
+        keys, columns = keys[new], (np.cumsum(table[:, :J], axis=1) - table[:, J:]).T
     if counts is None:
-        return tree_sum((n, dd * scale) for n, dd in zip(totals.tolist(), dens.tolist()) if n)
-    ks = np.searchsorted(counts[1], dens)
-    if not np.array_equal(counts[1].take(ks, mode="clip"), dens):
+        dens = [dd * scale for dd in keys.tolist()]
+        return [tree_sum((n, dd) for n, dd in zip(col, dens) if n) for col in columns.tolist()]
+    ks = np.searchsorted(counts[1], keys)
+    if not np.array_equal(counts[1].take(ks, mode="clip"), keys):
         raise ArithmeticError("a centered sweep reached a denominator that is not an l1 ball count")
-    nums = np.zeros(ks[-1] + 1 if ks.size else 0, dtype=totals.dtype)
-    nums[ks] = totals
-    return counts[0].sum(nums.tolist(), scale)
+    nums = np.zeros((J, ks[-1] + 1 if ks.size else 0), dtype=totals.dtype)
+    nums[:, ks] = columns
+    sums = []
+    for row in nums.tolist():
+        while row and not row[-1]:  # a smaller radius sums only its own counts
+            row.pop()
+        sums.append(counts[0].sum(row, scale))
+    return sums
 
 
-def _add_run_boundaries(num, den, dens, totals):
+def _add_run_boundaries(num, den, keys, totals, tagged=None):
     """Merge each column's run-boundary terms coef_t * num_t into the
-    running per-denominator totals (dens, totals), sorted by denominator.
+    running per-key totals (keys, totals), sorted by key.
 
     The variation of a column of values v(t) = num_t / (scale * den_t) is
     sum_t coef_t * v(t) with coef_t = s_{t-1} - s_t and s_t the exact sign
     of v(t+1) - v(t), compared by cross-multiplication; coefficients vanish
-    away from monotone-run boundaries.  The nonzero terms join the running
-    pair and are totalled per denominator by one stable sort and one
-    grouped reduction.  Works alike on int64 arrays, which `_fits_int64`
-    keeps exact, and on object arrays of Python ints.
+    away from monotone-run boundaries.  Works alike on int64 arrays, which
+    `_fits_int64` keeps exact, and on object arrays of Python ints.  Given
+    `tagged` = (tags, shell, ends), keys are den * tags + shell, and the
+    values at the rows `ends` join their shell and the last tag too.
     """
     sign = np.sign(num[1:] * den[:-1] - num[:-1] * den[1:])
     coef = np.zeros(num.shape, dtype=sign.dtype)
     coef[1:] += sign
     coef[:-1] -= sign
+    if tagged is None:
+        hit = coef != 0
+        return _merge(keys, totals, den[hit], coef[hit] * num[hit])
+    tags, shell, ends = tagged
+    coef[ends] += 1
     hit = coef != 0
-    terms = coef[hit] * num[hit]
+    den = den * tags + shell
+    at = np.concatenate((den[hit], (den[ends] + (tags - 1 - shell)).ravel()))
+    return _merge(keys, totals, at, np.concatenate((coef[hit] * num[hit], num[ends].ravel())))
+
+
+def _merge(keys, totals, at, terms):
+    """(keys, totals) with `terms` added at keys `at`, by one stable sort and one reduceat."""
     if not terms.size:
-        return dens, totals
-    dens = np.concatenate((dens, den[hit]))
-    order = np.argsort(dens, kind="stable")
-    dens, terms = dens[order], np.concatenate((totals, terms))[order]
-    starts = np.flatnonzero(np.concatenate(([True], dens[1:] != dens[:-1])))
-    return dens[starts], np.add.reduceat(terms, starts)
+        return keys, totals
+    keys = np.concatenate((keys, at))
+    order = np.argsort(keys, kind="stable")
+    keys, terms = keys[order], np.concatenate((totals, terms))[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(terms, starts)
 
 
 def _exact_values(f: GridFunction, spec: BallSpec, dtype, normalised: tuple[list[int], int]):
@@ -365,30 +431,44 @@ def adaptive_variation(
 
     Starts at the support radius, doubles, and clamps the final step to
     r_max; hitting r_max is a flagged outcome, not an error.  The trace is
-    nondecreasing.
+    nondecreasing.  Each batch of radii, from the next one to the first whose
+    reach-rule bound (module docstring) is below epsilon or to r_max, is one
+    sweep at its largest, its values tested in order as one sweep's per radius.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     bound = constants.bound_for_geometry(spec.geometry, spec.dim, terms)
     cap = bound.upper * f.l1_norm()
-    r = max(f.support_radius(), 1)
-    r = min(r, r_max)
+    radii = [min(max(f.support_radius(), 1), r_max)]
+    while radii[-1] < r_max:
+        radii.append(min(2 * radii[-1], r_max))
+    ends = _line_ends(f, spec, radii) if f else [0] * len(radii)
     trace: list[tuple[int, Fraction]] = []
-    prev: Fraction | None = None
-    var = Fraction(0)
-    while True:
-        var = truncated_variation_maxfn(f, spec, r)
-        trace.append((r, var))
-        if prev is not None and var - prev < epsilon:
-            stop = "converged"
-            break
-        if r >= r_max:
-            stop = "rmax"
-            break
-        prev = var
-        r = min(2 * r, r_max)
+    stop = None
+    while stop is None:
+        k = len(trace)  # the batch: radii k..last, last the first step the loop may stop at
+        last = next((i for i in range(max(k, 1), len(radii) - 1) if ends[i - 1] - ends[i] < epsilon), len(radii) - 1)
+        for r, var in zip(radii[k:], _truncated_variations(f, spec, radii[k : last + 1])):
+            stop = "converged" if trace and var - trace[-1][1] < epsilon else "rmax" if r >= r_max else None
+            trace.append((r, var))
+            if stop:
+                break
+    r, var = trace[-1]
     return VariationReport(spec, r, var, tuple(trace), cap, var <= cap, stop)
+
+
+def _line_ends(f: GridFunction, spec: BallSpec, radii: list[int]) -> list[Fraction]:
+    """Mf(-r, b) + Mf(r, b) per radius r on the axis-0 line through nonzero
+    f's first support point, b its other coordinates, from one evaluator call."""
+    if spec.dim != f.dim:
+        raise ValueError("spec dimension does not match function dimension")
+    normalised = f.integer_masses()
+    dtype = np.int64 if _fits_int64(f, normalised[0], spec.centered, radii[-1], 2 * len(radii)) else object
+    build = partial(_exact_values, f, spec) if spec.centered else partial(_vectorised_values, f, None)
+    values, _, scale = build(dtype, normalised)
+    (lo, hi), (dlo, dhi) = (a.tolist() for a in values([np.array([[-r for r in radii], radii]), *f.support[0][1:]]))
+    return [Fraction(a, scale * b) + Fraction(c, scale * e) for a, b, c, e in zip(lo, dlo, hi, dhi)]
 
 
 # ---------------------------------------------------------------------------

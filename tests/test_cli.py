@@ -738,16 +738,28 @@ class TestGoldenOutputs:
         assert r.returncode == 0, r.stderr
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    # five signed points whose doubling reaches --rmax 100 in seven steps, 3 to 96 and 100
+    SIGNED_5 = [{"point": [0, 0], "value": "3"}, {"point": [2, 1], "value": "-1/2"},
+                {"point": [-1, 3], "value": "2"}, {"point": [1, -2], "value": "-5/3"},
+                {"point": [-3, -1], "value": "1"}]
+
     @pytest.mark.parametrize(
-        "geometry, digest",
+        "geometry, dim, support, options, digest",
         [
-            ("l1", "68f7e23481b2cd86dfb300126fb82dec50cb436b41f297dcaaf4a789f093591e"),
-            ("cube", "6ae65b7103f68a66b7866c3ae3ea066254a633f4b3559b96bf5d946b4ecdc1a6"),
+            ("l1", 3, PAIR_3D, ("--rmax", "8"),
+             "68f7e23481b2cd86dfb300126fb82dec50cb436b41f297dcaaf4a789f093591e"),
+            ("cube", 3, PAIR_3D, ("--rmax", "8"),
+             "6ae65b7103f68a66b7866c3ae3ea066254a633f4b3559b96bf5d946b4ecdc1a6"),
+            ("l1", 2, SIGNED_5, ("--rmax", "100", "--epsilon", "1/1000"),
+             "8ad68a0183a7f30bdb3d91a57fec49ac4fcb4f92720d19cf8f6b444f9fa6e7a0"),
+            ("cube", 2, SIGNED_5, ("--rmax", "100", "--epsilon", "1/1000"),
+             "bc3c79f979593070b02e40cdb953e48ec2380f788ee4058c479f4cbf43fd9aeb"),
         ],
+        ids=["l1-3d", "cube-3d", "l1-2d-signed", "cube-2d-signed"],
     )
-    def test_verify_input_digest(self, tmp_path, geometry, digest):
-        args = ("verify", "--input", write_doc(tmp_path, "f.json", 3, self.PAIR_3D),
-                "--geometry", geometry, "--rmax", "8")
+    def test_verify_input_digest(self, tmp_path, geometry, dim, support, options, digest):
+        args = ("verify", "--input", write_doc(tmp_path, "f.json", dim, support),
+                "--geometry", geometry, *options)
         r = subprocess.run(CLI + list(args), capture_output=True, timeout=300)
         assert r.returncode == 0, r.stderr
         assert hashlib.sha256(r.stdout).hexdigest() == digest

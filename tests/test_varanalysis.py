@@ -597,9 +597,9 @@ class TestChunkBudget:
 
     @staticmethod
     def _recorded(f, spec, R, monkeypatch):
-        """The variation, with every array of the sweep: the candidate
-        stacks, the evaluator's results and the sizes of all arrays derived
-        from the coordinates."""
+        """The variation, or the variations at a list R of radii, with every
+        array of the sweep: the candidate stacks, the evaluator's results and
+        the sizes of all arrays derived from the coordinates."""
         stacks, returned = [], []
         evaluator, best = varanalysis._vectorised_values, varanalysis._best
 
@@ -620,7 +620,10 @@ class TestChunkBudget:
         monkeypatch.setattr(_Recorded, "sizes", [])
         monkeypatch.setattr(varanalysis, "_vectorised_values", recording_evaluator)
         monkeypatch.setattr(varanalysis, "_best", recording_best)
-        var = truncated_variation_maxfn(f, spec, R)
+        if isinstance(R, list):
+            var = varanalysis._truncated_variations(f, spec, R)
+        else:
+            var = truncated_variation_maxfn(f, spec, R)
         assert stacks and returned and _Recorded.sizes
         return var, stacks + returned, _Recorded.sizes
 
@@ -646,8 +649,8 @@ class TestChunkBudget:
         f = _spread(d, random.Random(d), points, reach).scale(scale)
         spec = BallSpec("cube", d)
         assert _fits(f, False, R) == (scale == 1)
-        want = varanalysis._sweep(
-            *varanalysis._exact_values(f, spec, object, f.integer_masses()), R,
+        (want,) = varanalysis._sweep(
+            *varanalysis._exact_values(f, spec, object, f.integer_masses()), [R],
             [list(chain(*parts)) for parts in varanalysis._stops(f, R)],
         )
         var, arrays, sizes = self._recorded(f, spec, R, monkeypatch)
@@ -685,8 +688,8 @@ class TestChunkBudget:
         spec = BallSpec("cube", 2)
         R = f.support_radius() + 3
         width = len(maxop.hull_closures(f.support, tuple(f.integer_masses()[0])))
-        want = varanalysis._sweep(
-            *varanalysis._exact_values(f, spec, object, f.integer_masses()), R,
+        (want,) = varanalysis._sweep(
+            *varanalysis._exact_values(f, spec, object, f.integer_masses()), [R],
             [list(chain(*parts)) for parts in varanalysis._stops(f, R)],
         )
         monkeypatch.setattr(varanalysis, "_exact_values", _no_exact_values)
@@ -723,6 +726,25 @@ class TestChunkBudget:
                 calls.clear()
                 assert truncated_variation_maxfn(f, spec, R) == want
                 assert len(calls) == (len(f.support) > limit)
+
+    @pytest.mark.parametrize("scale", [1, 10**19], ids=["int64", "object"])
+    def test_3d_radius_batch_stays_within_a_tiny_budget(self, scale, monkeypatch):
+        # the smaller radii's line ends come in batches of at most
+        # budget // width points, or two where those pass the budget
+        f = _spread(3, random.Random("ends"), 5, 2).scale(scale)
+        spec = BallSpec("cube", 3)
+        radii = [2, 4, 8, 9]
+        want = [truncated_variation_maxfn(f, spec, r) for r in radii]
+        width = len(maxop.hull_closures(f.support, tuple(f.integer_masses()[0])))
+        monkeypatch.setattr(varanalysis, "_exact_values", _no_exact_values)
+        for cells in (1, 2 * width + 1, 97 * width):
+            with monkeypatch.context() as m:
+                m.setattr(varanalysis, "_CHUNK_CELLS", cells)
+                var, arrays, sizes = self._recorded(f, spec, radii, m)
+            assert var == want
+            assert {a.dtype for a in arrays} == {np.dtype(np.int64 if scale == 1 else object)}
+            assert max(a.size for a in arrays) <= max(cells, 2 * width)
+            assert max(sizes) <= max(cells, 2 * width)
 
     @pytest.mark.parametrize("geometry", ["l1", "cube"])
     def test_blocks_add_up_to_the_whole_line(self, geometry, monkeypatch):
@@ -769,6 +791,26 @@ class TestChunkIndependence:
     )
     def test_object_arrays_do_not_depend_on_chunk_cells(self, geometry, d, radius, monkeypatch):
         self._check(BallSpec(geometry, d), radius, 10**19, monkeypatch)
+
+    @pytest.mark.parametrize("geometry", ["l1", "cube"])
+    @pytest.mark.parametrize("scale", [1, 10**19], ids=["int64", "object"])
+    def test_3d_radius_batches_do_not_depend_on_chunk_cells(self, geometry, scale, monkeypatch):
+        spec, radii = BallSpec(geometry, 3), [1, 2, 4, 5]
+        budgets = (1, 7, 97, varanalysis._CHUNK_CELLS)
+
+        @settings(SWEEP, max_examples=4)
+        @given(_functions(3, 1, 1, 5))
+        def check(f):
+            f = f.scale(scale)
+            want = tuple(truncated_variation_maxfn(f, spec, r) for r in radii)
+            values = set()
+            for cells in budgets:
+                with monkeypatch.context() as m:
+                    m.setattr(varanalysis, "_CHUNK_CELLS", cells)
+                    values.add(tuple(varanalysis._truncated_variations(f, spec, radii)))
+            assert values == {want}
+
+        check()
 
     @staticmethod
     def _check(spec, radius, scale, monkeypatch):
@@ -1013,6 +1055,144 @@ class TestAdaptiveVariation:
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             adaptive_variation(GridFunction.delta(0), BallSpec("centered1d", 1), 0)
+
+
+def _one_sweep_per_radius(f, spec, epsilon, r_max):
+    """The doubling loop with one sweep per radius: the reference trace
+    and stop reason of `adaptive_variation`."""
+    r = min(max(f.support_radius(), 1), r_max)
+    trace, prev = [], None
+    while True:
+        var = truncated_variation_maxfn(f, spec, r)
+        trace.append((r, var))
+        if prev is not None and var - prev < epsilon:
+            return tuple(trace), "converged"
+        if r >= r_max:
+            return tuple(trace), "rmax"
+        prev, r = var, min(2 * r, r_max)
+
+
+class TestRadiusBatches:
+    """`adaptive_variation` sweeps its radii in batches, one sweep at each
+    batch's largest radius; its trace and stop reason stay those of one
+    sweep per radius."""
+
+    # per multiple of ||f||_1: past every gain, so the loop stops at its first
+    # step; stopping mid-trace; and below every gain, so it reaches r_max
+    EPSILONS = {"first": Q(100), "mid": Q(1, 50), "never": Q(1, 10**30)}
+
+    @pytest.mark.parametrize(
+        "geometry, d, radius, r_maxes, examples",
+        [
+            ("centered1d", 1, 6, (37, 100), 15),
+            ("uncentered1d", 1, 6, (37, 100), 15),
+            ("l1", 1, 6, (37, 100), 10),
+            ("cube", 1, 6, (37, 100), 10),
+            ("l1", 2, 3, (37, 100), 12),
+            ("cube", 2, 3, (37, 100), 12),
+            ("l1", 3, 1, (37,), 4),
+            ("cube", 3, 1, (37,), 4),
+        ],
+    )
+    def test_trace_equals_one_sweep_per_radius(self, geometry, d, radius, r_maxes, examples):
+        spec = BallSpec(geometry, d)
+
+        @settings(SWEEP, max_examples=examples)
+        @given(
+            _functions(d, radius, 0, 5),
+            st.sampled_from(sorted(self.EPSILONS)),
+            st.sampled_from(r_maxes),
+            st.sampled_from([1, 2**70]),
+        )
+        def check(f, stop, r_max, scale):
+            f = f.scale(scale)
+            epsilon = self.EPSILONS[stop] * (f.l1_norm() or 1)
+            rep = adaptive_variation(f, spec, epsilon, r_max=r_max)
+            assert (rep.convergence_trace, rep.stop_reason) == _one_sweep_per_radius(f, spec, epsilon, r_max)
+            assert (rep.truncation_radius, rep.truncated_var) == rep.convergence_trace[-1]
+
+        check()
+
+    @pytest.mark.parametrize("geometry, d", [("centered1d", 1), ("l1", 2), ("cube", 3)])
+    def test_zero_function(self, geometry, d):
+        spec = BallSpec(geometry, d)
+        rep = adaptive_variation(GridFunction.zero(d), spec, Q(1, 10**12), r_max=37)
+        assert rep.convergence_trace == ((1, 0), (2, 0)) and rep.stop_reason == "converged"
+        assert (rep.convergence_trace, rep.stop_reason) == _one_sweep_per_radius(
+            GridFunction.zero(d), spec, Q(1, 10**12), 37
+        )
+
+    def test_2d_l1_past_the_point_limit(self, monkeypatch):
+        # the exact evaluator serves every batch
+        rng = random.Random(73)
+        points = set()
+        while len(points) <= varanalysis._L1_GRID_POINTS:
+            points.add((rng.randint(-6, 6), rng.randint(-6, 6)))
+        f = GridFunction(2, {p: Q(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1)) for p in points})
+        spec = BallSpec("l1", 2)
+        monkeypatch.setattr(varanalysis, "_vectorised_values", _no_exact_values)
+        for epsilon in (Q(1, 50) * f.l1_norm(), Q(1, 10**12)):
+            rep = adaptive_variation(f, spec, epsilon, r_max=37)
+            assert (rep.convergence_trace, rep.stop_reason) == _one_sweep_per_radius(f, spec, epsilon, 37)
+
+    @staticmethod
+    def _batches(monkeypatch):
+        """The radii of every sweep, recorded."""
+        batches, sweep = [], varanalysis._sweep
+
+        def recording(values, width, scale, radii, *rest):
+            batches.append(list(radii))
+            return sweep(values, width, scale, radii, *rest)
+
+        monkeypatch.setattr(varanalysis, "_sweep", recording)
+        return batches
+
+    @pytest.mark.parametrize("geometry", ["l1", "cube"])
+    def test_an_epsilon_past_every_gain_sweeps_two_radii(self, geometry, monkeypatch):
+        batches = self._batches(monkeypatch)
+        f = GridFunction(2, {(0, 0): 1, (2, 1): Q(-3, 2)})
+        rep = adaptive_variation(f, BallSpec(geometry, 2), 100, r_max=128)
+        assert rep.stop_reason == "converged" and [r for r, _ in rep.convergence_trace] == [2, 4]
+        assert batches == [[2, 4]]
+
+    @pytest.mark.parametrize("geometry", ["l1", "cube"])
+    def test_a_tiny_epsilon_sweeps_every_radius_at_once(self, geometry, monkeypatch):
+        batches = self._batches(monkeypatch)
+        f = GridFunction(2, {(0, 0): 1, (2, 1): Q(-3, 2)})
+        rep = adaptive_variation(f, BallSpec(geometry, 2), Q(1, 10**12), r_max=128)
+        assert rep.stop_reason == "rmax"
+        assert batches == [[2, 4, 8, 16, 32, 64, 128]]
+
+    def test_batches_end_where_the_loop_may_stop(self, monkeypatch):
+        # the bound passes epsilon up to r = 16 only, so the first batch ends
+        # at 32, where the loop may stop, and the next runs on to r_max
+        batches = self._batches(monkeypatch)
+        f, spec = GridFunction.delta((0, 0)), BallSpec("cube", 2)
+        radii = [1, 2, 4, 8, 16, 32, 64, 128]
+        ends = varanalysis._line_ends(f, spec, radii)
+        gains = [a - b for a, b in zip(ends, ends[1:])]
+        epsilon = (gains[3] + gains[4]) / 2
+        assert all(g >= epsilon for g in gains[:4]) and all(g < epsilon for g in gains[4:])
+        rep = adaptive_variation(f, spec, epsilon, r_max=128)
+        assert batches[0] == radii[:6]
+        assert [r for batch in batches for r in batch] == [r for r, _ in rep.convergence_trace]
+        assert (rep.convergence_trace, rep.stop_reason) == _one_sweep_per_radius(f, spec, epsilon, 128)
+
+    @pytest.mark.parametrize(
+        "geometry, d, top", [("centered1d", 1, 200), ("uncentered1d", 1, 200), ("l1", 2, 40), ("cube", 2, 40), ("l1", 3, 12), ("cube", 3, 12)]
+    )
+    def test_the_line_bound_is_at_most_the_gain(self, geometry, d, top):
+        rng = random.Random(f"{geometry}-{d}")
+        spec = BallSpec(geometry, d)
+        for _ in range(3):
+            f = _random_f(d, rng, radius=3, signed=True)
+            radii = [max(f.support_radius(), 1)]
+            while radii[-1] < top:
+                radii.append(min(2 * radii[-1], top))
+            ends = varanalysis._line_ends(f, spec, radii)
+            values = [truncated_variation_maxfn(f, spec, r) for r in radii]
+            for k in range(1, len(radii)):
+                assert 0 <= ends[k - 1] - ends[k] <= values[k] - values[k - 1]
 
 
 def _nearest(p, axis, through):
