@@ -155,14 +155,19 @@ def _truncated_variations(f: GridFunction, spec: BallSpec, radii: list[int]) -> 
     stops = _stops(f, R)
     if not f:
         return [Fraction(0)] * len(radii)
-    normalised = f.integer_masses()  # one normalisation for the width and the evaluator
     points = _points(stops, R) + sum(2 * d * (2 * r + 1) ** (d - 1) for r in radii[:-1])
-    dtype = np.int64 if _fits_int64(f, normalised[0], spec.centered, R, points, len(radii)) else object
-    lines = [list(chain(*parts)) for parts in stops]
     counts = _count_tree(d, d * (R + f.support_radius())) if spec.centered and d > 1 else None
-    if spec.centered and (d != 2 or len(f.support) > _L1_GRID_POINTS):
-        return _sweep(*_exact_values(f, spec, dtype, normalised), radii, lines, counts)
-    return _sweep(*_vectorised_values(f, counts, dtype, normalised), radii, lines, counts)
+    return _sweep(*_evaluator(f, spec, R, points, len(radii), counts), radii, [list(chain(*p)) for p in stops], counts)
+
+
+def _evaluator(f: GridFunction, spec: BallSpec, R: int, points: int, radii: int, counts=None):
+    """(values, width, scale) for nonzero f at `points` points over `radii` radii up to R: the
+    module docstring's one width check and evaluator choice, l1 vectorised only given `counts`."""
+    normalised = f.integer_masses()  # one normalisation for the width and the evaluator
+    dtype = np.int64 if _fits_int64(f, normalised[0], spec.centered, R, points, radii) else object
+    if spec.centered and (counts is None or f.dim != 2 or len(f.support) > _L1_GRID_POINTS):
+        return _exact_values(f, spec, dtype, normalised)
+    return _vectorised_values(f, counts, dtype, normalised)
 
 
 def sweep_points(f: GridFunction, R: int) -> int:
@@ -227,11 +232,9 @@ def _sweep(values, width: int, scale: int, radii: list[int], stops: list[list[in
     the blocks and chunks.  `counts` is `_count_tree(d, k)` for centered d >= 2.
     """
     d, R, J = len(stops), radii[-1], len(radii)
-    lines = (2 * R + 1) ** (d - 1)
+    lines, tags = (2 * R + 1) ** (d - 1), 2 * J if J > 1 else 1
     # the other d - 1 coordinates of every line of an axis, one column per line
     rests = np.indices((2 * R + 1,) * (d - 1)).reshape(d - 1, lines) - R
-    # each line's shell, the first radius its base lies within, for J > 1 radii
-    tags, shells = (2 * J, np.searchsorted(radii, np.abs(rests).max(axis=0, initial=0))) if J > 1 else (1, None)
     keys = totals = np.zeros(0, dtype=np.int64)
     for axis, ts in enumerate(stops):
         block = max(2, min(len(ts), _CHUNK_CELLS // width))
@@ -242,29 +245,30 @@ def _sweep(values, width: int, scale: int, radii: list[int], stops: list[list[in
             for l0 in range(0, lines, batch):
                 coords = [c[None, l0 : l0 + batch] for c in rests]
                 coords.insert(axis, t)
-                tagged = None if shells is None else (tags, shells[None, l0 : l0 + batch], ends)
+                # for J > 1 radii, each line's shell: the first radius its base lies within
+                shells = np.searchsorted(radii, abs(rests[:, l0 : l0 + batch]).max(axis=0, initial=0)) if J > 1 else None
+                tagged = None if shells is None else (tags, shells[None], ends)
                 keys, totals = _add_run_boundaries(*values(coords), keys, totals, tagged)
-    # the ends -r, r of the lines within each smaller r, bases formed per batch from a flat index
-    first = list(accumulate(((2 * r + 1) ** (d - 1) for r in radii[:-1]), initial=0))
-    per = max(1, _CHUNK_CELLS // (2 * width))
-    for g0 in range(0, first[-1], per):
-        g = np.arange(g0, min(g0 + per, first[-1]), dtype=np.int64)
-        j = np.searchsorted(first[1:], g, side="right")
-        r, q = np.take(radii, j), g - np.take(first, j)
-        rest = [q // (2 * r + 1) ** i % (2 * r + 1) - r for i in range(d - 1)]
-        for axis in range(d):
-            num, den = values([c[None] for c in rest[:axis]] + [np.stack((-r, r))] + [c[None] for c in rest[axis:]])
-            keys, totals = _merge(keys, totals, (den * tags + (J + j)).ravel(), num.ravel())
     columns = totals[None]  # per radius, its totals per denominator
-    if J > 1:  # from the table of totals per denominator and tag
+    if J > 1:  # the ends -r, r of the lines within each smaller r, bases formed per batch from a flat index
+        first = list(accumulate(((2 * r + 1) ** (d - 1) for r in radii[:-1]), initial=0))
+        per = max(1, _CHUNK_CELLS // (2 * width))
+        for g0 in range(0, first[-1], per):
+            g = np.arange(g0, min(g0 + per, first[-1]), dtype=np.int64)
+            j = np.searchsorted(first[1:], g, side="right")
+            r, q = np.take(radii, j), g - np.take(first, j)
+            rest = [q // (2 * r + 1) ** i % (2 * r + 1) - r for i in range(d - 1)]
+            for axis in range(d):
+                num, den = values([c[None] for c in rest[:axis]] + [np.stack((-r, r))] + [c[None] for c in rest[axis:]])
+                keys, totals = _merge(keys, totals, (den * tags + (J + j)).ravel(), num.ravel())
+        # then the table of totals per denominator and tag, summed over the shells per radius
         tag, keys = (keys % tags).astype(np.int64), keys // tags
         new = np.concatenate(([True], keys[1:] != keys[:-1]))
         table = np.zeros((new.sum(), tags), dtype=totals.dtype)
         table[np.cumsum(new) - 1, tag] = totals
         keys, columns = keys[new], (np.cumsum(table[:, :J], axis=1) - table[:, J:]).T
     if counts is None:
-        dens = [dd * scale for dd in keys.tolist()]
-        return [tree_sum((n, dd) for n, dd in zip(col, dens) if n) for col in columns.tolist()]
+        return [tree_sum((n, dd * scale) for n, dd in zip(col, keys.tolist()) if n) for col in columns.tolist()]
     ks = np.searchsorted(counts[1], keys)
     if not np.array_equal(counts[1].take(ks, mode="clip"), keys):
         raise ArithmeticError("a centered sweep reached a denominator that is not an l1 ball count")
@@ -460,13 +464,9 @@ def adaptive_variation(
 
 def _line_ends(f: GridFunction, spec: BallSpec, radii: list[int]) -> list[Fraction]:
     """Mf(-r, b) + Mf(r, b) per radius r on the axis-0 line through nonzero
-    f's first support point, b its other coordinates, from one evaluator call."""
-    if spec.dim != f.dim:
-        raise ValueError("spec dimension does not match function dimension")
-    normalised = f.integer_masses()
-    dtype = np.int64 if _fits_int64(f, normalised[0], spec.centered, radii[-1], 2 * len(radii)) else object
-    build = partial(_exact_values, f, spec) if spec.centered else partial(_vectorised_values, f, None)
-    values, _, scale = build(dtype, normalised)
+    f's first support point, b its other coordinates, from one evaluator call:
+    for centered inputs the exact one, which needs no count table up to r_max."""
+    values, _, scale = _evaluator(f, spec, radii[-1], 2 * len(radii), len(radii))
     (lo, hi), (dlo, dhi) = (a.tolist() for a in values([np.array([[-r for r in radii], radii]), *f.support[0][1:]]))
     return [Fraction(a, scale * b) + Fraction(c, scale * e) for a, b, c, e in zip(lo, dlo, hi, dhi)]
 

@@ -1122,6 +1122,12 @@ class TestRadiusBatches:
             GridFunction.zero(d), spec, Q(1, 10**12), 37
         )
 
+    @pytest.mark.parametrize("geometry, d", [("l1", 3), ("cube", 3), ("l1", 1)])
+    def test_rejects_a_spec_of_another_dimension(self, geometry, d):
+        f, spec = GridFunction(2, {(0, 0): 1, (2, 1): Q(-3, 2)}), BallSpec(geometry, d)
+        with pytest.raises(ValueError):
+            adaptive_variation(f, spec, Q(1, 100), r_max=16)
+
     def test_2d_l1_past_the_point_limit(self, monkeypatch):
         # the exact evaluator serves every batch
         rng = random.Random(73)
